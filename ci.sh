@@ -183,6 +183,13 @@ assert c, "edge_dense_flood_n1024 missing from bench results"
 assert c["checksum"] == 315, \
     f"edge_dense_flood_n1024 checksum drifted: {c['checksum']} != 315"
 print("bench-smoke golden: edge_dense_flood_n1024 checksum 315 ok")
+# Same pin for the sparse per-pair schedule (sorted alive list: death draws
+# in ascending pair order, then the birth skip-sampler).
+s = by_name.get("edge_sparse_flood_n16384")
+assert s, "edge_sparse_flood_n16384 missing from bench results"
+assert s["checksum"] == 4924, \
+    f"edge_sparse_flood_n16384 checksum drifted: {s['checksum']} != 4924"
+print("bench-smoke golden: edge_sparse_flood_n16384 checksum 4924 ok")
 PYEOF
     rm -rf "$BENCH_DIR"
 

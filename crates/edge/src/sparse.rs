@@ -18,28 +18,35 @@ use crate::model::EdgeMegParams;
 use meg_core::evolving::{EvolvingGraph, InitialDistribution, Stepping};
 use meg_graph::generators::pair_from_index;
 use meg_graph::{Graph, Node, SnapshotBuf};
+use meg_markov::batch::gen_bool_threshold;
 use meg_obs as obs;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Edge-MEG storing only the alive edges.
 ///
-/// Under the default [`Stepping::PerPair`] the alive set is a `BTreeSet`
-/// (deterministic iteration order for the per-edge death draws). Under
-/// [`Stepping::Transitions`] it is a flat `Vec<u32>` of pair indices instead:
-/// deaths are skip-sampled as positions in that array and swap-removed,
-/// births are skip-sampled pair indices checked against the pre-step snapshot
-/// — no tree, no per-birth node allocation, and the snapshot is maintained by
-/// deltas rather than rebuilt.
+/// Under the default [`Stepping::PerPair`] the alive set is a sorted flat
+/// `Vec<u64>` of pair indices: ascending order is what makes the per-edge
+/// death draws consume the RNG in a deterministic edge order, and each round
+/// rewrites the list by linear passes into reused buffers (no tree, no
+/// per-birth allocation). Under [`Stepping::Transitions`] it is an unsorted
+/// flat `Vec<u32>` instead: deaths are skip-sampled as positions in that
+/// array and swap-removed, births are skip-sampled pair indices checked
+/// against the pre-step snapshot, and the snapshot is maintained by deltas
+/// rather than rebuilt.
 #[derive(Clone, Debug)]
 pub struct SparseEdgeMeg {
     params: EdgeMegParams,
-    /// Linear pair indices of the alive edges (per-pair stepping), ordered so
-    /// that the death phase consumes RNG draws in a deterministic edge order
-    /// (a `HashSet` here would make trajectories depend on hash-iteration
-    /// order, which is randomized per instance).
-    alive: BTreeSet<u64>,
+    /// Linear pair indices of the alive edges (per-pair stepping), strictly
+    /// ascending, so that the death phase consumes RNG draws in a
+    /// deterministic edge order (a `HashSet` here would make trajectories
+    /// depend on hash-iteration order, which is randomized per instance).
+    alive: Vec<u64>,
+    /// Per-pair scratch: the survivors of the death phase, written here so
+    /// `alive` still holds the pre-step list while births are checked.
+    survivors: Vec<u64>,
+    /// Per-pair scratch: this round's births, ascending.
+    born: Vec<u64>,
     rng: StdRng,
     snapshot: SnapshotBuf,
     time: u64,
@@ -78,7 +85,7 @@ impl SparseEdgeMeg {
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let total_pairs = params.num_pairs();
-        let mut alive: BTreeSet<u64> = BTreeSet::new();
+        let mut alive: Vec<u64> = Vec::new();
         let mut alive_vec: Vec<u32> = Vec::new();
         match stepping {
             Stepping::PerPair => match init {
@@ -86,8 +93,9 @@ impl SparseEdgeMeg {
                 InitialDistribution::Full => alive = (0..total_pairs).collect(),
                 InitialDistribution::Stationary => {
                     let phat = params.stationary_edge_probability();
+                    // Skip-sampled indices come out ascending: already sorted.
                     sample_bernoulli_indices(total_pairs, phat, &mut rng, |idx| {
-                        alive.insert(idx);
+                        alive.push(idx);
                     });
                 }
             },
@@ -112,6 +120,8 @@ impl SparseEdgeMeg {
         SparseEdgeMeg {
             params,
             alive,
+            survivors: Vec::new(),
+            born: Vec::new(),
             rng,
             snapshot: SnapshotBuf::with_nodes(params.n),
             time: 0,
@@ -148,53 +158,94 @@ impl SparseEdgeMeg {
         }
     }
 
+    /// The next draw of a *clone* of the engine RNG — a cursor probe for
+    /// differential tests (the engine's own stream is not advanced). Two
+    /// engines that have consumed the same number of draws from the same
+    /// seed probe equal.
+    pub fn rng_cursor_probe(&self) -> u64 {
+        self.rng.clone().next_u64()
+    }
+
+    /// Rebuilds the CSR snapshot from the sorted alive list.
+    ///
+    /// Pair indices enumerate the triangle row by row (`(0,1), (0,2), …,
+    /// (1,2), …`), so an ascending walk decodes them with an incremental row
+    /// cursor instead of a `sqrt` per edge. Edges are pushed in ascending
+    /// index order, which fixes the CSR neighbour order.
     fn rebuild_snapshot(&mut self) {
         self.snapshot.begin(self.params.n);
         let n = self.params.n as u64;
+        // Row `a` holds the pairs `(a, b)`, `b > a`, at indices
+        // `row_start..row_end`.
+        let mut a = 0u64;
+        let mut row_start = 0u64;
+        let mut row_end = n - 1;
         for &idx in &self.alive {
-            let (a, b) = pair_from_index(n, idx);
+            while idx >= row_end {
+                a += 1;
+                row_start = row_end;
+                row_end += n - 1 - a;
+            }
+            let b = a + 1 + (idx - row_start);
             self.snapshot.push_edge(a as Node, b as Node);
         }
         self.snapshot.build();
     }
 
+    /// Per-pair stepping over the sorted alive list.
+    ///
+    /// Draw schedule: one `gen_bool(q)` per alive pair in ascending index
+    /// order (none at all when `q == 0`), then the birth skip-sampler over
+    /// the whole index space. Survivors go to a second buffer so the
+    /// pre-step list stays readable; a birth candidate counts only if it was
+    /// absent *before* the step (if it survived it stays alive anyway, and
+    /// if it just died the model says it needs a full step absent before it
+    /// can be reborn), which a forward cursor over the pre-step list decides.
+    /// Survivors and births are then merged back into `alive` in one pass.
     fn step_chain(&mut self) {
         let total_pairs = self.params.num_pairs();
         let p = self.params.p;
         let q = self.params.q;
-        let record = obs::installed();
-        // Deaths: keep each alive edge with probability 1 − q.
-        let alive_before = self.alive.len();
-        if q > 0.0 {
-            let rng = &mut self.rng;
-            self.alive.retain(|_| !rng.gen_bool(q));
+        let alive = &self.alive;
+        let survivors = &mut self.survivors;
+        let born = &mut self.born;
+        born.clear();
+        if survivors.len() < alive.len() {
+            survivors.resize(alive.len(), 0);
         }
-        let died = alive_before - self.alive.len();
-        // Births: each pair that was absent *before* this step turns on with
-        // probability p. Pairs that were alive before the step are skipped:
-        // if they survived the death phase they stay alive anyway, and if they
-        // just died the model says they need a full step absent before they
-        // can be reborn. To distinguish "alive before the step" from "alive
-        // after the death phase" we consult the pre-step snapshot, which holds
-        // exactly the pre-step edge set.
-        let mut born = 0u64;
+        let kept = if q > 0.0 {
+            // `gen_bool(q)` is `next_u64() >> 11 < ⌈q·2⁵³⌉` (meg-markov
+            // `batch` module docs): same draw, same decision. Branchless
+            // compaction: every index is stored, the slot advances only if
+            // the edge survives.
+            let threshold = gen_bool_threshold(q);
+            let mut kept = 0usize;
+            for &idx in alive {
+                survivors[kept] = idx;
+                kept += (self.rng.next_u64() >> 11 >= threshold) as usize;
+            }
+            kept
+        } else {
+            survivors[..alive.len()].copy_from_slice(alive);
+            alive.len()
+        };
+        let died = (alive.len() - kept) as u64;
         let mut draws = 0u64;
         if p > 0.0 {
-            let mut births: Vec<u64> = Vec::new();
+            let mut cursor = 0usize;
             draws = sample_bernoulli_indices(total_pairs, p, &mut self.rng, |idx| {
-                let (a, b) = pair_from_index(self.params.n as u64, idx);
-                if !self.snapshot.has_edge(a as Node, b as Node) {
-                    births.push(idx);
+                while cursor < alive.len() && alive[cursor] < idx {
+                    cursor += 1;
+                }
+                if cursor == alive.len() || alive[cursor] != idx {
+                    born.push(idx);
                 }
             });
-            born = births.len() as u64;
-            for idx in births {
-                self.alive.insert(idx);
-            }
         }
-        if record {
-            obs::add(obs::Counter::EdgeDeaths, died as u64);
-            obs::add(obs::Counter::EdgeBirths, born);
+        merge_sorted(&survivors[..kept], born, &mut self.alive);
+        if obs::installed() {
+            obs::add(obs::Counter::EdgeDeaths, died);
+            obs::add(obs::Counter::EdgeBirths, self.born.len() as u64);
             obs::add(obs::Counter::RngDraws, draws);
         }
     }
@@ -242,6 +293,24 @@ impl SparseEdgeMeg {
             self.alive_vec.push(self.birth_idx[i]);
         }
         draws
+    }
+}
+
+/// Merges the disjoint ascending lists `a` and `b` into `out` (whose old
+/// contents are overwritten), keeping it ascending.
+///
+/// Branchless: an exhausted list reads as `u64::MAX`, which no pair index
+/// reaches, and each step advances exactly one side by its compare flag.
+fn merge_sorted(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
+    out.resize(a.len() + b.len(), 0);
+    let (mut i, mut j) = (0, 0);
+    for slot in out.iter_mut() {
+        let x = a.get(i).copied().unwrap_or(u64::MAX);
+        let y = b.get(j).copied().unwrap_or(u64::MAX);
+        let take_a = x < y;
+        *slot = if take_a { x } else { y };
+        i += take_a as usize;
+        j += !take_a as usize;
     }
 }
 
@@ -390,7 +459,7 @@ mod tests {
 
     #[test]
     fn snapshot_edge_set_equals_alive_state_exactly() {
-        // The alive `BTreeSet` (private state) is the independent reference:
+        // The sorted alive list (private state) is the independent reference:
         // the CSR snapshot must list exactly those pairs, in index order.
         let n = 120usize;
         let params = EdgeMegParams::with_stationary(n, 0.05, 0.4);

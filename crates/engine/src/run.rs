@@ -390,7 +390,7 @@ fn resolve_cell(
             | (Param::N, Substrate::Geometric { n, .. })
             | (Param::N, Substrate::Adversarial { n, .. })
             | (Param::N, Substrate::Static { n, .. }) => {
-                *n = value.round().max(2.0) as usize;
+                *n = crate::scenario::node_count(value);
             }
             (Param::Q, Substrate::Edge { q, .. }) => *q = value,
             (Param::PHat, Substrate::Edge { p_hat, .. }) => *p_hat = PHatSpec::Fixed(value),

@@ -912,6 +912,15 @@ impl Param {
     }
 }
 
+/// The node count an `n` axis value resolves to: rounded, at least 2.
+pub(crate) fn node_count(value: f64) -> usize {
+    value.round().max(2.0) as usize
+}
+
+/// Largest pair count `stepping: transitions` supports: both edge engines
+/// index pairs with `u32` on that path (`n ≤ 92682`).
+const TRANSITIONS_MAX_PAIRS: u64 = u32::MAX as u64;
+
 /// One sweep axis: a parameter and the values it takes.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Axis {
@@ -979,6 +988,17 @@ impl Sweep {
             values: values.into(),
         });
         self
+    }
+
+    /// The node counts a substrate of base size `base` takes across the
+    /// grid: the values of the last `n` axis (each cell applies its
+    /// overrides in axis order, so a later `n` axis wins), or `base` when no
+    /// axis sweeps `n`.
+    pub(crate) fn node_counts(&self, base: usize) -> Vec<usize> {
+        match self.axes.iter().rev().find(|a| a.param == Param::N) {
+            Some(axis) => axis.values.iter().map(|&v| node_count(v)).collect(),
+            None => vec![base],
+        }
     }
 
     /// Number of grid cells (product of axis lengths; 1 for no axes).
@@ -1241,6 +1261,26 @@ impl Scenario {
                 return err(format!("sweep axis `{}` has no values", axis.param.id()));
             }
         }
+        for s in &self.substrates {
+            if let Substrate::Edge {
+                n,
+                stepping: SteppingKind::Transitions,
+                ..
+            } = s
+            {
+                for n in self.sweep.node_counts(*n) {
+                    let pairs = n as u64 * (n as u64 - 1) / 2;
+                    if pairs > TRANSITIONS_MAX_PAIRS {
+                        return err(format!(
+                            "edge substrate `{}` at n={n} has {pairs} pairs; stepping \
+                             `transitions` indexes pairs with u32 (at most {TRANSITIONS_MAX_PAIRS}, \
+                             n ≤ 92682) — use stepping `per_pair`",
+                            s.label()
+                        ));
+                    }
+                }
+            }
+        }
         Ok(())
     }
 
@@ -1497,6 +1537,55 @@ mod tests {
             stepping: SteppingKind::PerPair,
         }];
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_transitions_cells_beyond_the_u32_pair_index() {
+        let edge = |n: usize, engine: EdgeEngine, stepping: SteppingKind| Substrate::Edge {
+            n,
+            engine,
+            p_hat: PHatSpec::LogFactor(3.0),
+            q: 0.5,
+            init: InitKind::Stationary,
+            stepping,
+        };
+        let scenario = |substrate: Substrate, sweep: Sweep| Scenario {
+            substrates: vec![substrate],
+            sweep,
+            ..demo()
+        };
+        // 92682 is the largest n whose C(n, 2) fits in u32.
+        for engine in [EdgeEngine::Sparse, EdgeEngine::Dense] {
+            let ok = scenario(
+                edge(92_682, engine, SteppingKind::Transitions),
+                Sweep::none(),
+            );
+            assert!(ok.validate().is_ok());
+            let big = scenario(
+                edge(92_683, engine, SteppingKind::Transitions),
+                Sweep::none(),
+            );
+            let e = big.validate().unwrap_err();
+            assert!(e.0.contains("n=92683") && e.0.contains("u32"), "{e}");
+            // Per-pair stepping has no such limit.
+            let per_pair = scenario(edge(100_000, engine, SteppingKind::PerPair), Sweep::none());
+            assert!(per_pair.validate().is_ok());
+        }
+        // Every value of the n axis is checked, not just the base n …
+        let swept = scenario(
+            edge(1_000, EdgeEngine::Sparse, SteppingKind::Transitions),
+            Sweep::over(Param::N, [1_000.0, 50_000.0, 100_000.0]).and(Param::Q, [0.5, 0.1]),
+        );
+        let e = swept.validate().unwrap_err();
+        assert!(e.0.contains("n=100000"), "{e}");
+        // … and a base n the axis overrides does not count.
+        let overridden = scenario(
+            edge(200_000, EdgeEngine::Sparse, SteppingKind::Transitions),
+            Sweep::over(Param::N, [1_000.0, 2_000.0]),
+        );
+        assert!(overridden.validate().is_ok());
+        // `resolve_cells` refuses the cell before any work starts.
+        assert!(crate::run::resolve_cells(&swept).is_err());
     }
 
     #[test]

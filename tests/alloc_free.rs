@@ -17,9 +17,10 @@
 //! metrics: the square-region section covers the Euclidean lanes and a
 //! torus-walkers section covers the wrap-around lanes (the two metric
 //! monomorphisations are separate code paths, so each gets its own bar). The
-//! sparse engine's *per-pair* path stays out of scope (its alive-set
-//! `BTreeSet` allocates per birth by design); its transitions path keeps the
-//! alive set in a flat reused `Vec` and is held to the zero-allocation bar.
+//! sparse engine is covered in both stepping modes: per-pair stepping keeps
+//! its sorted alive list, survivor and birth buffers as reused `Vec`s, and
+//! the transitions path keeps its flat alive array and delta scratch the
+//! same way.
 //!
 //! The test counts `alloc` / `realloc` / `alloc_zeroed` calls around the
 //! measured loop on the test's own single thread; nothing else runs
@@ -186,6 +187,28 @@ fn advance_is_allocation_free_after_warmup_on_dense_and_geometric_paths() {
     assert_eq!(
         sparse_allocs, 0,
         "sparse transitions advance() allocated {sparse_allocs} times after warm-up"
+    );
+
+    // --- sparse edge-MEG, per-pair stepping (sorted alive list) -----------
+    // Deaths compact into a reused survivor buffer, births land in a reused
+    // birth buffer, and the merge writes back into the alive list, so after
+    // the buffers reach the run's high-water mark a round allocates nothing.
+    let params = EdgeMegParams::with_stationary(256, 0.03, 0.4);
+    let mut per_pair = SparseEdgeMeg::stationary(params, 13);
+    for _ in 0..100 {
+        per_pair.advance();
+    }
+    let (per_pair_allocs, per_pair_edges) = allocations_during(|| {
+        let mut total = 0usize;
+        for _ in 0..200 {
+            total += per_pair.advance().num_edges();
+        }
+        total
+    });
+    assert!(per_pair_edges > 0, "sparse per-pair workload degenerated");
+    assert_eq!(
+        per_pair_allocs, 0,
+        "sparse per-pair advance() allocated {per_pair_allocs} times after warm-up"
     );
 
     // --- raw SnapshotBuf delta rounds -------------------------------------
