@@ -333,9 +333,6 @@ print(f"overhead: off {m['off_median_ms']:.2f} ms vs on {m['on_median_ms']:.2f} 
       f"(ratio {m['ratio']:.4f})")
 assert m["ratio"] <= 1.05, f"metrics overhead {m['ratio']:.4f} exceeds the 5% budget"
 PYEOF
-
-    step "bench compile check"
-    cargo check -q --workspace --benches --offline
 fi
 
 printf '\n\033[1;32mCI gate passed (%s mode).\033[0m\n' "$MODE"

@@ -1,10 +1,9 @@
-//! Shared infrastructure for the experiment binaries and Criterion benches.
+//! Shared infrastructure for the experiment binaries.
 //!
 //! All twelve `exp_*` binaries are thin wrappers over the scenario engine's
 //! built-ins (`meg_engine::harness::run_builtin_experiment`; the
 //! scenario ↔ theorem map lives in `docs/EXPERIMENTS.md`). What remains
-//! here is the shared substrate the Criterion benches and the wrappers'
-//! human-facing extras use — seeded flooding summaries, table emission
+//! here is the shared substrate the wrappers' human-facing extras use — seeded flooding summaries, table emission
 //! through the engine sink, commentary gating — honouring the same
 //! environment knobs:
 //!

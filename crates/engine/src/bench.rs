@@ -1,10 +1,6 @@
-//! `meg-lab bench` — the workspace's trustworthy wall-time measurement
-//! harness.
+//! `meg-lab bench` — the workspace's wall-time measurement harness.
 //!
-//! The vendored criterion shim only smoke-runs benches with tiny fixed
-//! iteration counts, so its numbers cannot be trusted for perf work. This
-//! module is the replacement the ROADMAP gates hot-path optimisation on:
-//! a small registry of **named benchmark workloads** (each a deterministic,
+//! Hot-path optimisation is gated on this module: a small registry of **named benchmark workloads** (each a deterministic,
 //! seeded end-to-end run over the real substrates), timed with warm-up
 //! repetitions followed by `R` measured repetitions, and summarised as
 //! **median / IQR / min** wall time so one noisy repetition cannot skew a
