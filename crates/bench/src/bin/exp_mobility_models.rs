@@ -11,9 +11,8 @@
 //! Honours `MEG_SEED`, `MEG_TRIALS`, `MEG_SCALE`, `MEG_OUTPUT`; run
 //! `meg-lab show mobility_models` to see the scenario as JSON.
 
-use meg_bench::{emit, master_seed, scaled};
 use meg_engine::harness;
-use meg_engine::sink::{format_from_env, OutputFormat};
+use meg_engine::sink::{format_from_env, render_table, OutputFormat};
 use meg_mobility::grid_walk::GridWalkParams;
 use meg_mobility::stationary::measure_uniformity;
 use meg_mobility::{Billiard, GridWalk, RandomWaypoint, TorusWalkers};
@@ -22,7 +21,7 @@ use meg_stats::table::fmt_f64;
 use meg_stats::Table;
 
 fn uniformity_table(seed: u64) -> Table {
-    let n = scaled(2_000);
+    let n = (2_000.0 * harness::scale_from_env()).round().max(4.0) as usize;
     let side = (n as f64).sqrt();
     let radius = 2.0 * (n as f64).ln().sqrt();
     let move_radius = radius / 2.0;
@@ -96,8 +95,10 @@ fn uniformity_table(seed: u64) -> Table {
 fn main() {
     // Machine-readable formats get only the engine rows; the uniformity
     // diagnostics are a human-facing preamble.
-    if format_from_env() == OutputFormat::Table {
-        emit(&uniformity_table(master_seed()));
+    let format = format_from_env();
+    if format == OutputFormat::Table {
+        let table = uniformity_table(harness::master_seed_from_env());
+        println!("{}", render_table(&table, format));
     }
     harness::run_builtin_experiment(
         "mobility_models",

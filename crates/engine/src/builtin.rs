@@ -13,8 +13,7 @@ use crate::scenario::{
 };
 
 /// Round budget used by flooding scenarios: generous enough that only
-/// genuinely disconnected regimes fail to complete (mirrors
-/// `meg_bench::ROUND_BUDGET`).
+/// genuinely disconnected regimes fail to complete.
 pub const FLOOD_BUDGET: u64 = 2_000_000;
 
 /// Names of all built-in scenarios, in registry order.

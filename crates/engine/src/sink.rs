@@ -1,7 +1,7 @@
 //! Output sinks: one result stream, three renderings.
 //!
-//! Every engine run (and, through [`render_table`], every legacy `meg-bench`
-//! table) can be emitted as
+//! Every engine run (and, through [`render_table`], any other [`Table`], such
+//! as `exp_mobility_models`' uniformity preamble) can be emitted as
 //!
 //! * [`OutputFormat::Table`] — aligned ASCII for terminals;
 //! * [`OutputFormat::Json`] — JSON-lines, one object per row, for machine
