@@ -119,6 +119,24 @@ if [ "$MODE" != "quick" ]; then
     echo "sharded run merged byte-identically ($(wc -l < "$DIST_DIR/merged.jsonl") rows)"
     rm -rf "$DIST_DIR"
 
+    step "meg-lab input validation (out-of-domain fixed p_hat exits 2, no clamp)"
+    BAD_SCENARIO=$(mktemp)
+    cat > "$BAD_SCENARIO" <<'EOF'
+{"name": "bad_p_hat", "description": "p_hat above 0.999/(1+q)",
+ "substrates": [{"family": "edge", "n": 100, "engine": "sparse", "p_hat": {"fixed": 1.5},
+                 "q": 0.5, "init": "stationary", "stepping": "per_pair"}],
+ "protocols": ["flooding"], "sweep": {"axes": []}, "trials": 2, "round_budget": 1000}
+EOF
+    BAD_CODE=0
+    BAD_ERR=$($MEG_LAB run --file "$BAD_SCENARIO" 2>&1 >/dev/null) || BAD_CODE=$?
+    rm -f "$BAD_SCENARIO"
+    if [ "$BAD_CODE" -ne 2 ] || ! printf '%s\n' "$BAD_ERR" | grep -q "fixed p_hat=1.5 outside"; then
+        echo "fixed p_hat=1.5 was not rejected with exit 2 (got $BAD_CODE):" >&2
+        printf '%s\n' "$BAD_ERR" >&2
+        exit 1
+    fi
+    echo "fixed p_hat=1.5 rejected before any work (exit 2)"
+
     step "meg-lab adaptive smoke (--target-stderr converges on every row)"
     ADAPTIVE_OUT=$(MEG_SCALE=0.1 cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
         run quick_smoke --seed 2009 --target-stderr 0.75 --min-trials 2 --max-trials 4 \

@@ -287,6 +287,11 @@ pub enum PHatSpec {
 impl PHatSpec {
     /// Resolves to a concrete `p̂ ∈ (0, 1)` for `n` nodes, clamped so the
     /// implied birth rate `p = q·p̂/(1−p̂)` stays ≤ 1 for death rate `q`.
+    ///
+    /// Only `log_factor` specs ever reach the clamp: `edge_vs_density`'s
+    /// factor-240 cells resolve above `0.999/(1+q)` at small `n` and rely on
+    /// it. A `fixed` value the clamp would alter is rejected up front by
+    /// [`Scenario::validate`], so a row never reports a p̂ it was not given.
     pub fn resolve(self, n: usize, q: f64) -> f64 {
         let raw = match self {
             PHatSpec::Fixed(v) => v,
@@ -1281,6 +1286,51 @@ impl Scenario {
                 }
             }
         }
+        // A fixed p̂ must lie where `PHatSpec::resolve` keeps it, for every q
+        // a cell can get. As with `n`, a base value an axis overrides does
+        // not count; the last axis over a parameter wins.
+        let last_axis = |params: &[Param]| {
+            self.sweep
+                .axes
+                .iter()
+                .rev()
+                .find(|a| params.contains(&a.param))
+        };
+        for s in &self.substrates {
+            let (spec, qs) = match s {
+                Substrate::Edge { p_hat, q, .. } => (
+                    p_hat,
+                    last_axis(&[Param::Q]).map_or(std::slice::from_ref(q), |a| &a.values[..]),
+                ),
+                // A static snapshot has no death rate and resolves at q = 0.
+                Substrate::Static {
+                    graph: StaticKind::ErdosRenyi { p_hat },
+                    ..
+                } => (p_hat, &[0.0][..]),
+                _ => continue,
+            };
+            let p_hat_axis = match s {
+                Substrate::Edge { .. } => last_axis(&[Param::PHat, Param::PHatFactor]),
+                _ => None,
+            };
+            let fixed = match (p_hat_axis, spec) {
+                (Some(axis), _) if axis.param == Param::PHat => &axis.values[..],
+                (None, PHatSpec::Fixed(v)) => std::slice::from_ref(v),
+                _ => &[],
+            };
+            for &v in fixed {
+                for &q in qs {
+                    if PHatSpec::Fixed(v).resolve(0, q) != v {
+                        return err(format!(
+                            "substrate `{}`: fixed p_hat={v} outside [1e-9, 0.999/(1+q)] = \
+                             [1e-9, {:.6}] at q={q}",
+                            s.label(),
+                            0.999 / (1.0 + q)
+                        ));
+                    }
+                }
+            }
+        }
         Ok(())
     }
 
@@ -1537,6 +1587,54 @@ mod tests {
             stepping: SteppingKind::PerPair,
         }];
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_out_of_domain_fixed_p_hat() {
+        let edge = |p_hat: PHatSpec, q: f64| Substrate::Edge {
+            n: 100,
+            engine: EdgeEngine::Sparse,
+            p_hat,
+            q,
+            init: InitKind::Stationary,
+            stepping: SteppingKind::PerPair,
+        };
+        let check = |substrate: Substrate, sweep: Sweep| {
+            Scenario {
+                substrates: vec![substrate],
+                sweep,
+                ..demo()
+            }
+            .validate()
+        };
+        // 1.5 used to run (and be reported) as 0.999/1.5 = 0.666.
+        let e = check(edge(PHatSpec::Fixed(1.5), 0.5), Sweep::none()).unwrap_err();
+        assert!(e.0.contains("p_hat=1.5") && e.0.contains("0.666000"), "{e}");
+        assert!(check(edge(PHatSpec::Fixed(0.0), 0.5), Sweep::none()).is_err());
+        assert!(check(edge(PHatSpec::Fixed(0.6), 0.5), Sweep::none()).is_ok());
+        // Every q a cell can get is checked; a base q the axis overrides is not.
+        let q_axis = |qs: &[f64]| Sweep::over(Param::Q, qs);
+        let e = check(edge(PHatSpec::Fixed(0.6), 0.5), q_axis(&[0.5, 1.0])).unwrap_err();
+        assert!(e.0.contains("q=1"), "{e}");
+        assert!(check(edge(PHatSpec::Fixed(0.6), 1.0), q_axis(&[0.5])).is_ok());
+        // Every p_hat axis value is checked against the substrate q …
+        let p_hat_axis = Sweep::over(Param::PHat, [0.1, 0.9]);
+        let e = check(edge(PHatSpec::LogFactor(3.0), 0.5), p_hat_axis).unwrap_err();
+        assert!(e.0.contains("p_hat=0.9"), "{e}");
+        // … and a p_hat_factor axis replaces the fixed base value.
+        let factor = Sweep::over(Param::PHatFactor, [3.0]);
+        assert!(check(edge(PHatSpec::Fixed(1.5), 0.5), factor).is_ok());
+        // log_factor keeps its clamp (edge_vs_density's factor-240 cells).
+        assert!(check(edge(PHatSpec::LogFactor(240.0), 0.5), Sweep::none()).is_ok());
+        // A static G(n, p̂) resolves at q = 0.
+        let er = |p: f64| Substrate::Static {
+            n: 100,
+            graph: StaticKind::ErdosRenyi {
+                p_hat: PHatSpec::Fixed(p),
+            },
+        };
+        assert!(check(er(0.5), Sweep::none()).is_ok());
+        assert!(check(er(1.0), Sweep::none()).is_err());
     }
 
     #[test]
