@@ -13,7 +13,7 @@ MODE="${1:-full}"
 
 step() { printf '\n\033[1m== %s\033[0m\n' "$*"; }
 
-step "markdown link check (intra-repo links in README + docs)"
+step "markdown link check (intra-repo links and backticked repo paths in README + docs)"
 LINK_ERR_FILE=$(mktemp)
 for md in README.md PAPER.md PAPERS.md ROADMAP.md CHANGES.md docs/*.md crates/*/README.md; do
     [ -f "$md" ] || continue
@@ -32,13 +32,27 @@ for md in README.md PAPER.md PAPERS.md ROADMAP.md CHANGES.md docs/*.md crates/*/
         fi
     done
 done
+# Backticked mentions of repo paths (`crates/…`, `docs/…`, `tests/…`,
+# `examples/…`, `sweepbench/…`) resolve from the repository root; a glob
+# must match at least one file. CHANGES.md and ROADMAP.md are history and
+# may name deleted files, so they are not checked.
+for md in README.md docs/*.md crates/*/README.md .claude/skills/verify/SKILL.md; do
+    [ -f "$md" ] || continue
+    { grep -oE '`(crates|docs|tests|examples|sweepbench)/[^` ]*`' "$md" || true; } |
+    tr -d '`' |
+    while read -r target; do
+        if ! compgen -G "$target" > /dev/null; then
+            echo "stale repo path in $md: $target" | tee -a "$LINK_ERR_FILE" >&2
+        fi
+    done
+done
 if [ -s "$LINK_ERR_FILE" ]; then
-    echo "$(wc -l < "$LINK_ERR_FILE") broken intra-repo markdown link(s)" >&2
+    echo "$(wc -l < "$LINK_ERR_FILE") broken intra-repo link(s) or path(s)" >&2
     rm -f "$LINK_ERR_FILE"
     exit 1
 fi
 rm -f "$LINK_ERR_FILE"
-echo "all intra-repo markdown links resolve"
+echo "all intra-repo markdown links and backticked repo paths resolve"
 
 step "cargo fmt --check"
 cargo fmt --all --check
@@ -88,6 +102,24 @@ if [ "$MODE" != "quick" ]; then
         echo "-- example $name"
         MEG_EXAMPLE_SCALE=0.1 cargo run -q --release --offline --example "$name" >/dev/null
     done
+
+    step "exp_mobility_models smoke (uniformity preamble only with the table sink)"
+    # The one exp_* binary with logic of its own: a human-facing uniformity
+    # table before the engine rows, which machine-readable output must omit.
+    EXP_MOB="cargo run -q --release --offline -p meg-bench --bin exp_mobility_models"
+    EXP_TABLE=$(MEG_SCALE=0.1 MEG_TRIALS=2 $EXP_MOB)
+    grep -q "stationary occupancy uniformity" <<< "$EXP_TABLE" || {
+        echo "exp_mobility_models printed no uniformity preamble with the table sink" >&2
+        exit 1
+    }
+    MEG_SCALE=0.1 MEG_TRIALS=2 MEG_OUTPUT=json $EXP_MOB | python3 -c '
+import json, sys
+lines = sys.stdin.read().splitlines()
+rows = [json.loads(l) for l in lines]
+assert rows and all(r.get("scenario") == "mobility_models" for r in rows), \
+    "MEG_OUTPUT=json must carry engine rows only"
+print(f"exp_mobility_models: preamble with the table sink, {len(rows)} bare JSON rows")
+'
 
     step "meg-lab smoke (built-in scenario, JSON-lines schema)"
     SMOKE_OUT=$(MEG_SCALE=0.1 cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
