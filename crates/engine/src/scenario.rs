@@ -1297,21 +1297,18 @@ impl Scenario {
                 .find(|a| params.contains(&a.param))
         };
         for s in &self.substrates {
-            let (spec, qs) = match s {
+            let (spec, qs, p_hat_axis) = match s {
                 Substrate::Edge { p_hat, q, .. } => (
                     p_hat,
                     last_axis(&[Param::Q]).map_or(std::slice::from_ref(q), |a| &a.values[..]),
+                    last_axis(&[Param::PHat, Param::PHatFactor]),
                 ),
                 // A static snapshot has no death rate and resolves at q = 0.
                 Substrate::Static {
                     graph: StaticKind::ErdosRenyi { p_hat },
                     ..
-                } => (p_hat, &[0.0][..]),
+                } => (p_hat, &[0.0][..], None),
                 _ => continue,
-            };
-            let p_hat_axis = match s {
-                Substrate::Edge { .. } => last_axis(&[Param::PHat, Param::PHatFactor]),
-                _ => None,
             };
             let fixed = match (p_hat_axis, spec) {
                 (Some(axis), _) if axis.param == Param::PHat => &axis.values[..],
