@@ -21,9 +21,6 @@
 //! to the snapshot as a CSR delta. Same process, different RNG schedule; the
 //! `stepping_equivalence` test suite pins the statistical equivalence.
 //!
-//! [`init`] provides the stationary / empty / full initialisations used by the
-//! stationary-vs-worst-case gap experiments.
-//!
 //! ## Example
 //!
 //! The dense and sparse engines implement the same model; under the same
@@ -51,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod dense;
-pub mod init;
 pub mod model;
 pub mod sparse;
 

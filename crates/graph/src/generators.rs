@@ -1,9 +1,9 @@
 //! Deterministic and random graph generators.
 //!
-//! These serve three purposes: hand-checkable fixtures for tests (path, cycle,
-//! star, complete, grid), the Erdős–Rényi family `G(n, p)` that is the
-//! stationary law of edge-MEG, and random geometric graphs which are the
-//! stationary law of geometric-MEG once node positions are fixed.
+//! These serve two purposes: hand-checkable fixtures for tests (path, cycle,
+//! star, complete, grid) and the Erdős–Rényi family `G(n, p)` that is the
+//! stationary law of edge-MEG. Radius graphs over node positions, the
+//! snapshots of geometric-MEG, are built by `meg-geometric`.
 
 use crate::{AdjacencyList, Node};
 use rand::Rng;
@@ -152,81 +152,6 @@ pub fn index_of_pair(n: u64, a: u64, b: u64) -> u64 {
     a * n - a * (a + 1) / 2 + (b - a - 1)
 }
 
-/// Random geometric graph: nodes at the given 2-D positions, an edge whenever
-/// two nodes are at Euclidean distance ≤ `radius`.
-///
-/// Uses a uniform cell grid with cell side `radius`, so the cost is
-/// `O(n + #candidate pairs)` instead of `O(n²)`.
-pub fn geometric_from_positions(positions: &[(f64, f64)], radius: f64) -> AdjacencyList {
-    let n = positions.len();
-    let mut g = AdjacencyList::new(n);
-    if n == 0 || radius <= 0.0 {
-        return g;
-    }
-    let r2 = radius * radius;
-    let min_x = positions.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
-    let min_y = positions.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
-    let max_x = positions
-        .iter()
-        .map(|p| p.0)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let max_y = positions
-        .iter()
-        .map(|p| p.1)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let cols = (((max_x - min_x) / radius).floor() as usize + 1).max(1);
-    let rows = (((max_y - min_y) / radius).floor() as usize + 1).max(1);
-    let cell_of = |p: (f64, f64)| -> (usize, usize) {
-        let cx = (((p.0 - min_x) / radius).floor() as usize).min(cols - 1);
-        let cy = (((p.1 - min_y) / radius).floor() as usize).min(rows - 1);
-        (cx, cy)
-    };
-    let mut buckets: Vec<Vec<Node>> = vec![Vec::new(); cols * rows];
-    for (i, &p) in positions.iter().enumerate() {
-        let (cx, cy) = cell_of(p);
-        buckets[cy * cols + cx].push(i as Node);
-    }
-    for cy in 0..rows {
-        for cx in 0..cols {
-            let here = &buckets[cy * cols + cx];
-            // Pairs within the cell.
-            for (i, &u) in here.iter().enumerate() {
-                for &v in &here[i + 1..] {
-                    if dist2(positions[u as usize], positions[v as usize]) <= r2 {
-                        g.add_edge_unchecked(u.min(v), u.max(v));
-                    }
-                }
-            }
-            // Pairs with the 4 "forward" neighboring cells (E, SW, S, SE) so
-            // each unordered cell pair is visited exactly once.
-            let neighbor_cells = [(1isize, 0isize), (-1, 1), (0, 1), (1, 1)];
-            for (dx, dy) in neighbor_cells {
-                let nx = cx as isize + dx;
-                let ny = cy as isize + dy;
-                if nx < 0 || ny < 0 || nx as usize >= cols || ny as usize >= rows {
-                    continue;
-                }
-                let there = &buckets[ny as usize * cols + nx as usize];
-                for &u in here {
-                    for &v in there {
-                        if dist2(positions[u as usize], positions[v as usize]) <= r2 {
-                            g.add_edge_unchecked(u.min(v), u.max(v));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    g
-}
-
-#[inline]
-fn dist2(a: (f64, f64), b: (f64, f64)) -> f64 {
-    let dx = a.0 - b.0;
-    let dy = a.1 - b.1;
-    dx * dx + dy * dy
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,50 +216,5 @@ mod tests {
             (mean - expected).abs() < 0.15 * expected,
             "mean edges {mean} vs expected {expected}"
         );
-    }
-
-    #[test]
-    fn geometric_graph_matches_brute_force() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let n = 120;
-        let positions: Vec<(f64, f64)> = (0..n)
-            .map(|_| (rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)))
-            .collect();
-        let radius = 1.3;
-        let fast = geometric_from_positions(&positions, radius);
-        // Brute force reference.
-        let mut slow = AdjacencyList::new(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if dist2(positions[u], positions[v]) <= radius * radius {
-                    slow.add_edge(u as Node, v as Node);
-                }
-            }
-        }
-        assert_eq!(fast.num_edges(), slow.num_edges());
-        for u in 0..n as Node {
-            let mut a = fast.neighbors(u).to_vec();
-            let mut b = slow.neighbors(u).to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "neighbors of {u}");
-        }
-    }
-
-    #[test]
-    fn geometric_graph_degenerate_inputs() {
-        assert_eq!(geometric_from_positions(&[], 1.0).num_nodes(), 0);
-        let one = geometric_from_positions(&[(0.0, 0.0)], 1.0);
-        assert_eq!(one.num_nodes(), 1);
-        assert_eq!(one.num_edges(), 0);
-        let zero_radius = geometric_from_positions(&[(0.0, 0.0), (0.0, 0.0)], 0.0);
-        assert_eq!(zero_radius.num_edges(), 0);
-    }
-
-    #[test]
-    fn geometric_graph_same_position_nodes_connect() {
-        let g = geometric_from_positions(&[(1.0, 1.0), (1.0, 1.0), (5.0, 5.0)], 0.5);
-        assert_eq!(g.num_edges(), 1);
-        assert!(g.has_edge(0, 1));
     }
 }

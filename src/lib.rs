@@ -62,7 +62,6 @@ pub mod prelude {
     };
     pub use meg_core::protocols::{parsimonious_flood, probabilistic_flood, push_pull_gossip};
     pub use meg_core::spec;
-    pub use meg_edge::init::AutoEdgeMeg;
     pub use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg};
     pub use meg_engine::{
         builtin, run_scenario, OutputFormat, Param, Protocol, Scenario, Substrate, Sweep,
