@@ -161,7 +161,7 @@ impl EvolvingGraph for RotatingBridge {
 mod tests {
     use super::*;
     use crate::flooding::{flood, FloodingOutcome};
-    use meg_graph::{diameter, Graph};
+    use meg_graph::diameter;
 
     #[test]
     fn rotating_star_snapshots_have_constant_diameter() {

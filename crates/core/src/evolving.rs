@@ -18,7 +18,7 @@
 //! any static graph so that static flooding (= BFS) is a special case handled
 //! by the same engine.
 
-use meg_graph::{AdjacencyList, Graph, SnapshotBuf};
+use meg_graph::SnapshotBuf;
 
 /// How the underlying Markov chain is initialised at time 0.
 ///
@@ -93,29 +93,21 @@ pub trait EvolvingGraph {
 /// Flooding on a `FrozenGraph` is exactly BFS from the source, which gives the
 /// reference behaviour every dynamic model is tested against, and also models
 /// the "static stationary graph" the paper compares mobility against. The
-/// snapshot buffer is filled once at construction (preserving the adjacency
-/// list's exact neighbor order) and `advance` only bumps the clock.
+/// graph is stored as given and `advance` only bumps the clock.
 #[derive(Clone, Debug)]
 pub struct FrozenGraph {
-    graph: AdjacencyList,
-    snapshot: SnapshotBuf,
+    graph: SnapshotBuf,
     time: u64,
 }
 
 impl FrozenGraph {
     /// Wraps a static graph.
-    pub fn new(graph: AdjacencyList) -> Self {
-        let mut snapshot = SnapshotBuf::new();
-        snapshot.copy_from_adjacency(&graph);
-        FrozenGraph {
-            graph,
-            snapshot,
-            time: 0,
-        }
+    pub fn new(graph: SnapshotBuf) -> Self {
+        FrozenGraph { graph, time: 0 }
     }
 
     /// Borrows the underlying static graph.
-    pub fn graph(&self) -> &AdjacencyList {
+    pub fn graph(&self) -> &SnapshotBuf {
         &self.graph
     }
 }
@@ -127,7 +119,7 @@ impl EvolvingGraph for FrozenGraph {
 
     fn advance(&mut self) -> &SnapshotBuf {
         self.time += 1;
-        &self.snapshot
+        &self.graph
     }
 
     fn time(&self) -> u64 {
@@ -140,8 +132,8 @@ impl EvolvingGraph for FrozenGraph {
 /// (e.g. "the bridge edge exists only at even steps").
 #[derive(Clone, Debug)]
 pub struct ScheduledGraph {
-    /// Snapshot buffers converted once at construction (neighbor order
-    /// preserved), so `advance` is a zero-cost borrow like `FrozenGraph`.
+    /// The schedule as given; `advance` is a zero-cost borrow like
+    /// `FrozenGraph`.
     snapshots: Vec<SnapshotBuf>,
     time: u64,
 }
@@ -149,7 +141,7 @@ pub struct ScheduledGraph {
 impl ScheduledGraph {
     /// Creates a scheduled evolving graph. Panics if the schedule is empty or
     /// the snapshots disagree on the number of nodes.
-    pub fn new(snapshots: Vec<AdjacencyList>) -> Self {
+    pub fn new(snapshots: Vec<SnapshotBuf>) -> Self {
         assert!(
             !snapshots.is_empty(),
             "schedule must contain at least one snapshot"
@@ -159,14 +151,6 @@ impl ScheduledGraph {
             snapshots.iter().all(|g| g.num_nodes() == n),
             "all snapshots must share the node set"
         );
-        let snapshots = snapshots
-            .iter()
-            .map(|g| {
-                let mut buf = SnapshotBuf::new();
-                buf.copy_from_adjacency(g);
-                buf
-            })
-            .collect();
         ScheduledGraph { snapshots, time: 0 }
     }
 
@@ -212,10 +196,7 @@ mod tests {
 
     #[test]
     fn frozen_snapshot_preserves_neighbor_order_exactly() {
-        let mut g = AdjacencyList::new(4);
-        g.add_edge(2, 0);
-        g.add_edge(0, 3);
-        g.add_edge(1, 0);
+        let g = SnapshotBuf::from_edges(4, [(2, 0), (0, 3), (1, 0)]);
         let mut f = FrozenGraph::new(g.clone());
         let snap = f.advance();
         for u in 0..4u32 {

@@ -21,7 +21,7 @@
 //! or uninformed side is smaller.
 
 use crate::evolving::{EvolvingGraph, FrozenGraph};
-use meg_graph::{visit_neighbors, Graph, Node, NodeSet};
+use meg_graph::{Node, NodeSet, SnapshotBuf};
 
 /// Why a flooding run ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,7 +112,7 @@ impl FloodingState {
 
     /// Applies one flooding round using snapshot `g`; returns the number of
     /// newly informed nodes.
-    pub fn step<G: Graph + ?Sized>(&mut self, g: &G) -> usize {
+    pub fn step(&mut self, g: &SnapshotBuf) -> usize {
         let n = self.informed.universe();
         debug_assert_eq!(g.num_nodes(), n, "snapshot node count changed");
         let informed_count = self.informed.len();
@@ -122,11 +122,11 @@ impl FloodingState {
         if informed_count * 2 <= n {
             // Scan informed nodes and collect their uninformed neighbors.
             for u in informed.iter() {
-                visit_neighbors(g, u, |v| {
+                for &v in g.neighbors(u) {
                     if !informed.contains(v) {
                         newly.push(v);
                     }
-                });
+                }
             }
         } else {
             // Scan uninformed nodes (ascending, exactly the old
@@ -136,13 +136,7 @@ impl FloodingState {
                 if informed.contains(v) {
                     continue;
                 }
-                let mut hit = false;
-                visit_neighbors(g, v, |w| {
-                    if !hit && informed.contains(w) {
-                        hit = true;
-                    }
-                });
-                if hit {
+                if g.neighbors(v).iter().any(|&w| informed.contains(w)) {
                     newly.push(v);
                 }
             }
@@ -198,7 +192,7 @@ pub fn flood<M: EvolvingGraph>(meg: &mut M, source: Node, max_rounds: u64) -> Fl
 
 /// Flooding on a static graph (BFS semantics). The flooding time equals the
 /// eccentricity of the source when the graph is connected.
-pub fn flood_static(graph: &meg_graph::AdjacencyList, source: Node) -> FloodingResult {
+pub fn flood_static(graph: &SnapshotBuf, source: Node) -> FloodingResult {
     let n = graph.num_nodes();
     let mut frozen = FrozenGraph::new(graph.clone());
     // On a static graph, flooding either completes within n-1 rounds or stalls.
@@ -214,7 +208,7 @@ pub fn flood_static(graph: &meg_graph::AdjacencyList, source: Node) -> FloodingR
 /// Worst-case flooding time over all sources on a static graph
 /// (`max_s T(s)`), or `None` if the graph is disconnected. Equals the graph's
 /// diameter.
-pub fn flooding_time_all_sources_static(graph: &meg_graph::AdjacencyList) -> Option<u64> {
+pub fn flooding_time_all_sources_static(graph: &SnapshotBuf) -> Option<u64> {
     let n = graph.num_nodes();
     if n == 0 {
         return Some(0);
@@ -233,7 +227,7 @@ pub fn flooding_time_all_sources_static(graph: &meg_graph::AdjacencyList) -> Opt
 mod tests {
     use super::*;
     use crate::evolving::ScheduledGraph;
-    use meg_graph::{generators, AdjacencyList};
+    use meg_graph::generators;
 
     #[test]
     fn static_flooding_equals_eccentricity() {
@@ -261,7 +255,7 @@ mod tests {
 
     #[test]
     fn disconnected_static_graph_stalls() {
-        let g = AdjacencyList::from_edges(5, [(0, 1), (2, 3)]);
+        let g = SnapshotBuf::from_edges(5, [(0, 1), (2, 3)]);
         let r = flood_static(&g, 0);
         assert_eq!(r.outcome, FloodingOutcome::Stalled);
         assert_eq!(r.flooding_time(), None);
@@ -272,7 +266,7 @@ mod tests {
 
     #[test]
     fn single_node_graph_completes_instantly() {
-        let g = AdjacencyList::new(1);
+        let g = SnapshotBuf::with_nodes(1);
         let r = flood_static(&g, 0);
         assert_eq!(r.outcome, FloodingOutcome::Completed);
         assert_eq!(r.rounds, 0);
@@ -291,8 +285,8 @@ mod tests {
     fn dynamic_edges_can_beat_any_static_snapshot() {
         // Node 2 is never reachable in snapshot A, node 1 never in snapshot B,
         // yet alternating between them floods everything.
-        let a = AdjacencyList::from_edges(3, [(0, 1)]);
-        let b = AdjacencyList::from_edges(3, [(0, 2)]);
+        let a = SnapshotBuf::from_edges(3, [(0, 1)]);
+        let b = SnapshotBuf::from_edges(3, [(0, 2)]);
         let mut meg = ScheduledGraph::new(vec![a, b]);
         let r = flood(&mut meg, 0, 10);
         assert_eq!(r.outcome, FloodingOutcome::Completed);
@@ -301,7 +295,7 @@ mod tests {
 
     #[test]
     fn round_limit_is_respected() {
-        let g = AdjacencyList::from_edges(4, [(0, 1), (2, 3)]);
+        let g = SnapshotBuf::from_edges(4, [(0, 1), (2, 3)]);
         let mut meg = FrozenGraph::new(g);
         let r = flood(&mut meg, 0, 3);
         assert_eq!(r.outcome, FloodingOutcome::RoundLimit);
@@ -343,10 +337,10 @@ mod tests {
         // Node 3's only-ever edge appears at step 3, attached to the source
         // itself (informed since round 0). A frontier-only implementation
         // would miss it.
-        let empty = AdjacencyList::new(4);
-        let g0 = AdjacencyList::from_edges(4, [(0, 1)]);
-        let g1 = AdjacencyList::from_edges(4, [(1, 2)]);
-        let g3 = AdjacencyList::from_edges(4, [(0, 3)]);
+        let empty = SnapshotBuf::with_nodes(4);
+        let g0 = SnapshotBuf::from_edges(4, [(0, 1)]);
+        let g1 = SnapshotBuf::from_edges(4, [(1, 2)]);
+        let g3 = SnapshotBuf::from_edges(4, [(0, 3)]);
         let mut meg = ScheduledGraph::new(vec![g0, g1, empty, g3]);
         let r = flood(&mut meg, 0, 10);
         assert_eq!(r.flooding_time(), Some(4));

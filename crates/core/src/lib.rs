@@ -34,10 +34,10 @@
 //! ```
 //! use meg_core::expansion::ExpanderSequence;
 //! use meg_core::flooding::flood_static;
-//! use meg_graph::AdjacencyList;
+//! use meg_graph::SnapshotBuf;
 //!
 //! // A 6-cycle: flooding from any source needs exactly ⌈6/2⌉ = 3 rounds.
-//! let g = AdjacencyList::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+//! let g = SnapshotBuf::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
 //! let result = flood_static(&g, 0);
 //! assert_eq!(result.flooding_time(), Some(3));
 //!

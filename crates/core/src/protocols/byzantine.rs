@@ -10,7 +10,7 @@
 //! "everyone heard something" (the SNIPPETS.md tampering exemplar).
 
 use super::state_machine::{random_contact, NodeState, ProtocolMachine};
-use meg_graph::{Graph, Node};
+use meg_graph::{Node, SnapshotBuf};
 use rand::Rng;
 
 /// What a node believes.
@@ -61,7 +61,6 @@ pub struct ByzantineMachine {
     /// (node, adopts_correct) decided this round; first writer wins.
     newly: Vec<(Node, bool)>,
     pending: meg_graph::NodeSet,
-    scratch: Vec<Node>,
     informed_count: usize,
     correct_count: usize,
     tampered_adoptions: u64,
@@ -94,7 +93,6 @@ impl ByzantineMachine {
             opinion,
             newly: Vec::new(),
             pending: meg_graph::NodeSet::new(n),
-            scratch: Vec::new(),
             informed_count: 1 + placed,
             correct_count: 1,
             tampered_adoptions: 0,
@@ -139,17 +137,12 @@ impl ProtocolMachine for ByzantineMachine {
         self.opinion[v as usize]
     }
 
-    fn step<G, R>(&mut self, g: &G, rng: &mut R)
-    where
-        G: Graph + ?Sized,
-        R: Rng,
-    {
+    fn step<R: Rng>(&mut self, g: &SnapshotBuf, rng: &mut R) {
         let n = self.opinion.len();
         let Self {
             opinion,
             newly,
             pending,
-            scratch,
             informed_count,
             correct_count,
             tampered_adoptions,
@@ -158,7 +151,7 @@ impl ProtocolMachine for ByzantineMachine {
         newly.clear();
         pending.clear();
         for u in 0..n as Node {
-            let Some(v) = random_contact(g, u, scratch, rng) else {
+            let Some(v) = random_contact(g, u, rng) else {
                 continue;
             };
             *messages += 1;

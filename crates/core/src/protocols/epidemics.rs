@@ -24,7 +24,7 @@
 //! its own predicate.
 
 use super::state_machine::{NodeState, ProtocolMachine};
-use meg_graph::{visit_neighbors, Graph, Node, NodeSet};
+use meg_graph::{Node, NodeSet, SnapshotBuf};
 use rand::Rng;
 
 /// Compartment of a node in an epidemic, as exposed to generic harnesses.
@@ -176,11 +176,7 @@ impl ProtocolMachine for EpidemicMachine {
         }
     }
 
-    fn step<G, R>(&mut self, g: &G, rng: &mut R)
-    where
-        G: Graph + ?Sized,
-        R: Rng,
-    {
+    fn step<R: Rng>(&mut self, g: &SnapshotBuf, rng: &mut R) {
         let n = self.health.len();
         let contagion = self.contagion;
         let Self {
@@ -202,7 +198,7 @@ impl ProtocolMachine for EpidemicMachine {
             if !matches!(health[u as usize], Health::Infectious { .. }) {
                 continue;
             }
-            visit_neighbors(g, u, |v| {
+            for &v in g.neighbors(u) {
                 *messages += 1;
                 if matches!(health[v as usize], Health::Susceptible)
                     && !pending_set.contains(v)
@@ -211,7 +207,7 @@ impl ProtocolMachine for EpidemicMachine {
                     pending_set.insert(v);
                     pending.push(v);
                 }
-            });
+            }
         }
 
         // Phase 2: timers on the round-start infectious/immune nodes.

@@ -14,7 +14,7 @@
 use super::state_machine::{run_machine, NodeState, ProtocolMachine};
 use super::ProtocolResult;
 use crate::evolving::EvolvingGraph;
-use meg_graph::{visit_neighbors, Graph, Node, NodeSet};
+use meg_graph::{Node, NodeSet, SnapshotBuf};
 use rand::Rng;
 
 /// Per-node state of parsimonious flooding.
@@ -105,11 +105,7 @@ impl ProtocolMachine for ParsimoniousMachine {
         }
     }
 
-    fn step<G, R>(&mut self, g: &G, _rng: &mut R)
-    where
-        G: Graph + ?Sized,
-        R: Rng,
-    {
+    fn step<R: Rng>(&mut self, g: &SnapshotBuf, _rng: &mut R) {
         let active_rounds = self.active_rounds;
         let Self {
             informed,
@@ -126,12 +122,12 @@ impl ProtocolMachine for ParsimoniousMachine {
             }
             any_active = true;
             remaining_active[u as usize] -= 1;
-            visit_neighbors(g, u, |v| {
+            for &v in g.neighbors(u) {
                 *messages += 1;
                 if !informed.contains(v) {
                     newly.push(v);
                 }
-            });
+            }
         }
         for &v in newly.iter() {
             if informed.insert(v) {
@@ -185,7 +181,7 @@ mod tests {
     use super::*;
     use crate::evolving::{FrozenGraph, ScheduledGraph};
     use crate::flooding::flood_static;
-    use meg_graph::{generators, AdjacencyList};
+    use meg_graph::{generators, SnapshotBuf};
 
     #[test]
     fn on_static_graphs_it_matches_plain_flooding() {
@@ -205,9 +201,9 @@ mod tests {
 
     #[test]
     fn unlimited_activity_is_plain_flooding_on_dynamic_graphs() {
-        let a = AdjacencyList::from_edges(3, [(0, 1)]);
-        let empty = AdjacencyList::new(3);
-        let b = AdjacencyList::from_edges(3, [(0, 2)]);
+        let a = SnapshotBuf::from_edges(3, [(0, 1)]);
+        let empty = SnapshotBuf::with_nodes(3);
+        let b = SnapshotBuf::from_edges(3, [(0, 2)]);
         let mut meg = ScheduledGraph::new(vec![a.clone(), empty.clone(), b.clone()]);
         let r = parsimonious_flood(&mut meg, 0, u64::MAX, 100);
         assert!(r.completed);
@@ -218,9 +214,9 @@ mod tests {
     fn short_activity_can_stall_on_dynamic_graphs() {
         // Node 2's only edge (to the source) appears after the source has
         // already fallen silent.
-        let a = AdjacencyList::from_edges(3, [(0, 1)]);
-        let empty = AdjacencyList::new(3);
-        let late = AdjacencyList::from_edges(3, [(0, 2)]);
+        let a = SnapshotBuf::from_edges(3, [(0, 1)]);
+        let empty = SnapshotBuf::with_nodes(3);
+        let late = SnapshotBuf::from_edges(3, [(0, 2)]);
         let mut meg = ScheduledGraph::new(vec![a, empty, late]);
         let r = parsimonious_flood(&mut meg, 0, 1, 100);
         assert!(!r.completed);
@@ -231,9 +227,9 @@ mod tests {
 
     #[test]
     fn longer_activity_windows_save_the_same_schedule() {
-        let a = AdjacencyList::from_edges(3, [(0, 1)]);
-        let empty = AdjacencyList::new(3);
-        let late = AdjacencyList::from_edges(3, [(0, 2)]);
+        let a = SnapshotBuf::from_edges(3, [(0, 1)]);
+        let empty = SnapshotBuf::with_nodes(3);
+        let late = SnapshotBuf::from_edges(3, [(0, 2)]);
         let mut meg = ScheduledGraph::new(vec![a, empty, late]);
         let r = parsimonious_flood(&mut meg, 0, 3, 100);
         assert!(r.completed);

@@ -5,7 +5,7 @@
 use super::state_machine::{run_machine, NodeState, ProtocolMachine};
 use super::ProtocolResult;
 use crate::evolving::EvolvingGraph;
-use meg_graph::{visit_neighbors, Graph, Node, NodeSet};
+use meg_graph::{Node, NodeSet, SnapshotBuf};
 use rand::Rng;
 
 /// Per-node state of (probabilistic) flooding: informed or not.
@@ -76,11 +76,7 @@ impl ProtocolMachine for FloodMachine {
         }
     }
 
-    fn step<G, R>(&mut self, g: &G, rng: &mut R)
-    where
-        G: Graph + ?Sized,
-        R: Rng,
-    {
+    fn step<R: Rng>(&mut self, g: &SnapshotBuf, rng: &mut R) {
         let beta = self.beta;
         let Self {
             informed,
@@ -95,12 +91,12 @@ impl ProtocolMachine for FloodMachine {
             if beta < 1.0 && !rng.gen_bool(beta) {
                 continue;
             }
-            visit_neighbors(g, u, |v| {
+            for &v in g.neighbors(u) {
                 *messages += 1;
                 if !informed.contains(v) {
                     newly.push(v);
                 }
-            });
+            }
         }
         for &v in newly.iter() {
             informed.insert(v);
@@ -177,12 +173,12 @@ pub(crate) mod legacy {
                 if beta < 1.0 && !rng.gen_bool(beta) {
                     continue;
                 }
-                visit_neighbors(snapshot, u, |v| {
+                for &v in snapshot.neighbors(u) {
                     messages += 1;
                     if !informed.contains(v) {
                         newly.push(v);
                     }
-                });
+                }
             }
             for &v in &newly {
                 informed.insert(v);
@@ -205,7 +201,7 @@ mod tests {
     use super::*;
     use crate::evolving::{FrozenGraph, ScheduledGraph};
     use crate::flooding::flood_static;
-    use meg_graph::{generators, AdjacencyList};
+    use meg_graph::{generators, SnapshotBuf};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -234,8 +230,8 @@ mod tests {
         // stream, including the β < 1 draw-order-sensitive path.
         for beta in [1.0, 0.7, 0.3] {
             for seed in 0..8u64 {
-                let a = AdjacencyList::from_edges(5, [(0, 1), (1, 2), (3, 4)]);
-                let b = AdjacencyList::from_edges(5, [(2, 3), (0, 4)]);
+                let a = SnapshotBuf::from_edges(5, [(0, 1), (1, 2), (3, 4)]);
+                let b = SnapshotBuf::from_edges(5, [(2, 3), (0, 4)]);
                 let mut meg_new = ScheduledGraph::new(vec![a.clone(), b.clone()]);
                 let mut meg_old = ScheduledGraph::new(vec![a, b]);
                 let mut rng_new = ChaCha8Rng::seed_from_u64(seed);
@@ -296,7 +292,7 @@ mod tests {
         let mut meg = FrozenGraph::new(generators::path(4));
         let r = probabilistic_flood(&mut meg, 0, 1.0, 100, &mut rng);
         assert_eq!(r.completion_time(), Some(r.rounds));
-        let mut meg = FrozenGraph::new(AdjacencyList::new(3));
+        let mut meg = FrozenGraph::new(SnapshotBuf::with_nodes(3));
         let r = probabilistic_flood(&mut meg, 0, 1.0, 5, &mut rng);
         assert_eq!(r.completion_time(), None);
     }

@@ -11,7 +11,7 @@
 use super::state_machine::{random_contact, run_machine, ProtocolMachine};
 use super::ProtocolResult;
 use crate::evolving::EvolvingGraph;
-use meg_graph::{Graph, Node, NodeSet};
+use meg_graph::{Node, NodeSet, SnapshotBuf};
 use rand::Rng;
 
 pub use super::probabilistic::FloodState;
@@ -25,7 +25,6 @@ pub use super::probabilistic::FloodState;
 pub struct PushPullMachine {
     informed: NodeSet,
     newly: Vec<Node>,
-    scratch: Vec<Node>,
     messages: u64,
 }
 
@@ -38,7 +37,6 @@ impl PushPullMachine {
         PushPullMachine {
             informed: NodeSet::singleton(n, source),
             newly: Vec::new(),
-            scratch: Vec::new(),
             messages: 0,
         }
     }
@@ -59,21 +57,16 @@ impl ProtocolMachine for PushPullMachine {
         }
     }
 
-    fn step<G, R>(&mut self, g: &G, rng: &mut R)
-    where
-        G: Graph + ?Sized,
-        R: Rng,
-    {
+    fn step<R: Rng>(&mut self, g: &SnapshotBuf, rng: &mut R) {
         let n = self.informed.universe();
         let Self {
             informed,
             newly,
-            scratch,
             messages,
         } = self;
         newly.clear();
         for u in 0..n as Node {
-            let Some(v) = random_contact(g, u, scratch, rng) else {
+            let Some(v) = random_contact(g, u, rng) else {
                 continue;
             };
             *messages += 1;
@@ -122,7 +115,7 @@ where
 mod tests {
     use super::*;
     use crate::evolving::FrozenGraph;
-    use meg_graph::{generators, AdjacencyList};
+    use meg_graph::{generators, SnapshotBuf};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -167,7 +160,7 @@ mod tests {
     #[test]
     fn isolated_nodes_prevent_completion() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let g = AdjacencyList::from_edges(4, [(0, 1), (1, 2)]);
+        let g = SnapshotBuf::from_edges(4, [(0, 1), (1, 2)]);
         let mut meg = FrozenGraph::new(g);
         let r = push_pull_gossip(&mut meg, 0, 50, &mut rng);
         assert!(!r.completed);

@@ -17,7 +17,7 @@
 use super::state_machine::{random_contact, run_machine, ProtocolMachine};
 use super::ProtocolResult;
 use crate::evolving::EvolvingGraph;
-use meg_graph::{Graph, Node, NodeSet};
+use meg_graph::{Node, NodeSet, SnapshotBuf};
 use rand::Rng;
 
 pub use super::probabilistic::FloodState;
@@ -30,7 +30,6 @@ pub use super::probabilistic::FloodState;
 pub struct RumorMachine {
     informed: NodeSet,
     newly: Vec<Node>,
-    scratch: Vec<Node>,
     messages: u64,
 }
 
@@ -43,7 +42,6 @@ impl RumorMachine {
         RumorMachine {
             informed: NodeSet::singleton(n, source),
             newly: Vec::new(),
-            scratch: Vec::new(),
             messages: 0,
         }
     }
@@ -64,20 +62,15 @@ impl ProtocolMachine for RumorMachine {
         }
     }
 
-    fn step<G, R>(&mut self, g: &G, rng: &mut R)
-    where
-        G: Graph + ?Sized,
-        R: Rng,
-    {
+    fn step<R: Rng>(&mut self, g: &SnapshotBuf, rng: &mut R) {
         let Self {
             informed,
             newly,
-            scratch,
             messages,
         } = self;
         newly.clear();
         for u in informed.iter() {
-            let Some(v) = random_contact(g, u, scratch, rng) else {
+            let Some(v) = random_contact(g, u, rng) else {
                 continue;
             };
             *messages += 1;
@@ -118,7 +111,7 @@ where
 mod tests {
     use super::*;
     use crate::evolving::FrozenGraph;
-    use meg_graph::{generators, AdjacencyList};
+    use meg_graph::{generators, SnapshotBuf};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -164,7 +157,7 @@ mod tests {
     #[test]
     fn isolated_nodes_are_never_reached() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let g = AdjacencyList::from_edges(4, [(0, 1), (1, 2)]);
+        let g = SnapshotBuf::from_edges(4, [(0, 1), (1, 2)]);
         let mut meg = FrozenGraph::new(g);
         let r = rumor_spread(&mut meg, 0, 50, &mut rng);
         assert!(!r.completed);

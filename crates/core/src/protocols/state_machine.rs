@@ -28,7 +28,7 @@
 
 use super::ProtocolResult;
 use crate::evolving::EvolvingGraph;
-use meg_graph::{Graph, Node};
+use meg_graph::{Node, SnapshotBuf};
 use rand::Rng;
 
 /// A per-node protocol state.
@@ -79,10 +79,7 @@ pub trait ProtocolMachine {
     /// Implementations must evaluate transitions against the *round-start*
     /// state (two-phase update): a node informed or infected during the
     /// round acts only from the next round on.
-    fn step<G, R>(&mut self, g: &G, rng: &mut R)
-    where
-        G: Graph + ?Sized,
-        R: Rng;
+    fn step<R: Rng>(&mut self, g: &SnapshotBuf, rng: &mut R);
 
     /// The protocol's completion predicate.
     ///
@@ -230,33 +227,14 @@ where
 /// isolated in this snapshot.
 ///
 /// Random-contact machines (push–pull, rumor, Byzantine) draw exactly one
-/// `gen_range` over the neighbor count per non-isolated caller. When the
-/// snapshot exposes a contiguous neighbor slice (the engine's `SnapshotBuf`
-/// always does) the draw indexes it directly — the same order, hence the
-/// same byte stream, as the historical `snapshot.neighbors(u)` code path.
-/// Other `Graph` impls fall back to collecting into `scratch`.
-pub(super) fn random_contact<G, R>(
-    g: &G,
-    u: Node,
-    scratch: &mut Vec<Node>,
-    rng: &mut R,
-) -> Option<Node>
-where
-    G: Graph + ?Sized,
-    R: Rng,
-{
-    if let Some(slice) = g.neighbor_slice(u) {
-        if slice.is_empty() {
-            return None;
-        }
-        return Some(slice[rng.gen_range(0..slice.len())]);
-    }
-    scratch.clear();
-    g.for_each_neighbor(u, &mut |v| scratch.push(v));
-    if scratch.is_empty() {
+/// `gen_range` over the neighbor count per non-isolated caller, indexing the
+/// snapshot's neighbor slice in order.
+pub(super) fn random_contact<R: Rng>(g: &SnapshotBuf, u: Node, rng: &mut R) -> Option<Node> {
+    let slice = g.neighbors(u);
+    if slice.is_empty() {
         return None;
     }
-    Some(scratch[rng.gen_range(0..scratch.len())])
+    Some(slice[rng.gen_range(0..slice.len())])
 }
 
 #[cfg(test)]
@@ -272,7 +250,7 @@ mod tests {
     fn censored_runs_report_the_budget_and_no_completion() {
         // Flooding on a disconnected graph can never complete; with no
         // stall proof available the driver runs the full budget.
-        let g = meg_graph::AdjacencyList::from_edges(4, [(0, 1)]);
+        let g = meg_graph::SnapshotBuf::from_edges(4, [(0, 1)]);
         let mut meg = FrozenGraph::new(g);
         let mut machine = FloodMachine::new(4, 0, 1.0);
         let mut rng = ChaCha8Rng::seed_from_u64(1);

@@ -7,7 +7,7 @@ use meg_core::evolving::{EvolvingGraph, FrozenGraph, ScheduledGraph};
 use meg_core::expansion::ExpanderSequence;
 use meg_core::flooding::{flood, flood_static, FloodingOutcome};
 use meg_core::protocols::{parsimonious_flood, probabilistic_flood, push_pull_gossip};
-use meg_graph::{generators, AdjacencyList, Graph};
+use meg_graph::{generators, SnapshotBuf};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -24,7 +24,7 @@ proptest! {
 
     #[test]
     fn flooding_time_is_bounded_by_n_minus_1_on_connected_static_graphs((n, edges) in edges_strategy(50), s in 0u32..50) {
-        let g = AdjacencyList::from_edges(n, edges);
+        let g = SnapshotBuf::from_edges(n, edges);
         let s = s % n as u32;
         let result = flood_static(&g, s);
         if let Some(t) = result.flooding_time() {
@@ -39,8 +39,8 @@ proptest! {
         edges_b in proptest::collection::vec((0u32..30, 0u32..30), 0..60),
         s in 0u32..30,
     ) {
-        let a = AdjacencyList::from_edges(n, edges_a);
-        let b = AdjacencyList::from_edges(
+        let a = SnapshotBuf::from_edges(n, edges_a);
+        let b = SnapshotBuf::from_edges(
             n,
             edges_b.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)),
         );
@@ -58,7 +58,7 @@ proptest! {
 
     #[test]
     fn probabilistic_flooding_with_beta_one_equals_flooding((n, edges) in edges_strategy(40), s in 0u32..40, seed in 0u64..100) {
-        let g = AdjacencyList::from_edges(n, edges);
+        let g = SnapshotBuf::from_edges(n, edges);
         let s = s % n as u32;
         let plain = flood_static(&g, s);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -77,7 +77,7 @@ proptest! {
         s in 0u32..40,
         k in 1u64..4,
     ) {
-        let g = AdjacencyList::from_edges(n, edges);
+        let g = SnapshotBuf::from_edges(n, edges);
         let s = s % n as u32;
         let budget = (2 * n) as u64;
         let plain = flood_static(&g, s);
@@ -89,7 +89,7 @@ proptest! {
 
     #[test]
     fn push_pull_gossip_informs_only_reachable_nodes((n, edges) in edges_strategy(30), s in 0u32..30, seed in 0u64..100) {
-        let g = AdjacencyList::from_edges(n, edges);
+        let g = SnapshotBuf::from_edges(n, edges);
         let s = s % n as u32;
         let reachable = meg_graph::bfs::reachable_count(&g, s);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);

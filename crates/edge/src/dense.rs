@@ -317,7 +317,7 @@ impl EvolvingGraph for DenseEdgeMeg {
 mod tests {
     use super::*;
     use meg_core::flooding::{flood, FloodingOutcome};
-    use meg_graph::{degree, Graph};
+    use meg_graph::degree;
 
     /// The alive pairs as endpoint tuples in index order (the private-state
     /// reference the snapshots are checked against).

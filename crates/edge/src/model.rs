@@ -112,7 +112,6 @@ mod tests {
 
     #[test]
     fn stationary_snapshot_has_expected_density() {
-        use meg_graph::Graph;
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
         let params = EdgeMegParams::with_stationary(400, 0.03, 0.5);

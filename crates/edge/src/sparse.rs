@@ -17,7 +17,7 @@ use crate::dense::DELTA_SLACK;
 use crate::model::EdgeMegParams;
 use meg_core::evolving::{EvolvingGraph, InitialDistribution, Stepping};
 use meg_graph::generators::pair_from_index;
-use meg_graph::{Graph, Node, SnapshotBuf};
+use meg_graph::{Node, SnapshotBuf};
 use meg_markov::batch::gen_bool_threshold;
 use meg_obs as obs;
 use rand::rngs::StdRng;
@@ -419,7 +419,7 @@ mod tests {
     use super::*;
     use crate::dense::DenseEdgeMeg;
     use meg_core::flooding::{flood, FloodingOutcome};
-    use meg_graph::{degree, Graph};
+    use meg_graph::degree;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

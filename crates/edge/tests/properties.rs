@@ -4,7 +4,6 @@
 
 use meg_core::evolving::{EvolvingGraph, InitialDistribution};
 use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg};
-use meg_graph::Graph;
 use proptest::prelude::*;
 
 proptest! {

@@ -25,7 +25,7 @@
 use meg_core::evolving::{EvolvingGraph, InitialDistribution};
 use meg_edge::{EdgeMegParams, SparseEdgeMeg};
 use meg_graph::generators::pair_from_index;
-use meg_graph::{Graph, Node, SnapshotBuf};
+use meg_graph::{Node, SnapshotBuf};
 use meg_obs as obs;
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -21,7 +21,6 @@
 
 use meg_core::evolving::{EvolvingGraph, InitialDistribution, Stepping};
 use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg};
-use meg_graph::Graph;
 use meg_stats::gof::{chi_square_gof, ks_two_sample, Alpha};
 
 /// Rounds per collection run (the ISSUE floor is 10k).

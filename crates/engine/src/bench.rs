@@ -40,7 +40,6 @@ use meg_core::protocols::push_pull_gossip;
 use meg_core::spec;
 use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg};
 use meg_geometric::{GeometricMeg, GeometricMegParams};
-use meg_graph::Graph;
 use meg_obs as obs;
 use meg_stats::quantile::quantile;
 use rand::SeedableRng;

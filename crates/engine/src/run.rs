@@ -31,7 +31,6 @@ use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg};
 use meg_geometric::{GeometricMeg, GeometricMegParams};
 use meg_graph::expansion::{min_expansion_sampled, SamplingStrategy};
 use meg_graph::generators;
-use meg_graph::Graph;
 use meg_mobility::{Billiard, RandomWaypoint, TorusWalkers};
 use meg_obs as obs;
 use meg_stats::seeds::{derive_seed, labeled_seed};
@@ -722,15 +721,9 @@ fn probe_trial<M: EvolvingGraph>(
             ))
         }
         Protocol::DiameterProbe => {
-            // Freeze the snapshot through the duplicate-dropping CSR
-            // constructor: the n-source BFS sweep assumes a simple graph
-            // (duplicate edges would double-visit neighbors), and the
-            // diameter is invariant to the neighbor reordering a freeze
-            // implies. Every in-tree substrate already produces simple
-            // snapshots, so this is a guard, not a behaviour change.
-            let snapshot = meg.advance();
-            let frozen = meg_graph::Csr::from_edges_dedup(snapshot.num_nodes(), &snapshot.edges());
-            match meg_graph::diameter::exact(&frozen).finite() {
+            // Every substrate's snapshot is simple (the snapshot
+            // equivalence suite checks it), as the n-source BFS sweep needs.
+            match meg_graph::diameter::exact(meg.advance()).finite() {
                 Some(d) => TrialOutcome::measured(d as f64),
                 None => TrialOutcome::failed(),
             }

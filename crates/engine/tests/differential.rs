@@ -24,7 +24,7 @@ use meg_engine::scenario::{
     Scenario, StaticKind, SteppingKind, Substrate, Sweep,
 };
 use meg_geometric::{GeometricMeg, GeometricMegParams};
-use meg_graph::{generators, visit_neighbors, Node, NodeSet};
+use meg_graph::{generators, Node, NodeSet};
 use meg_stats::{precision_checkpoints, run_trials, run_trials_scheduled};
 use proptest::prelude::*;
 use proptest::Strategy;
@@ -59,12 +59,12 @@ where
             if beta < 1.0 && !rng.gen_bool(beta) {
                 continue;
             }
-            visit_neighbors(snapshot, u, |v| {
+            for &v in snapshot.neighbors(u) {
                 messages += 1;
                 if !informed.contains(v) {
                     newly.push(v);
                 }
-            });
+            }
         }
         for &v in &newly {
             informed.insert(v);
@@ -110,12 +110,12 @@ where
             }
             any_active = true;
             remaining_active[u as usize] -= 1;
-            visit_neighbors(snapshot, u, |v| {
+            for &v in snapshot.neighbors(u) {
                 messages += 1;
                 if !informed.contains(v) {
                     newly.push(v);
                 }
-            });
+            }
         }
         for &v in &newly {
             if informed.insert(v) {

@@ -1,8 +1,8 @@
 //! Golden pre/post-refactor row fixtures.
 //!
 //! The fixtures under `tests/golden/` were produced by `meg-lab run` **before
-//! the allocation-free snapshot pipeline landed** (PR 4 code, `AdjacencyList`
-//! snapshots), at `--scale 0.1 --seed 20260730` — fixed mode with
+//! the allocation-free snapshot pipeline landed** (one heap neighbor list per
+//! node and snapshot), at `--scale 0.1 --seed 20260730` — fixed mode with
 //! `--trials 2`, adaptive mode with `--target-stderr 0.5 --min-trials 2
 //! --max-trials 4`. These tests re-run every builtin through the library path
 //! the CLI uses and require the JSON-lines output to be **byte-identical**:

@@ -1,18 +1,16 @@
-//! Property test: the flat-CSR [`SnapshotBuf`] snapshot every substrate now
-//! produces is edge-set-identical (and neighbor-order-identical) to the
-//! `AdjacencyList` construction it replaced.
+//! Property test: the flat-CSR [`SnapshotBuf`] snapshot every substrate
+//! produces is a simple graph that matches an independent reference where
+//! one exists.
 //!
 //! 200 random `(seed, params)` draws spread over all substrate families —
 //! dense edge-MEG, sparse edge-MEG, geometric-MEG on the square and on the
 //! torus, the adversarial constructions, and the frozen/scheduled adapters.
 //! For every drawn snapshot we check, as applicable:
 //!
-//! * **round trip** — replaying the snapshot's edge stream into an
-//!   `AdjacencyList` (the old representation) reproduces exactly the same
-//!   per-node neighbor slices, so the CSR stable counting sort is
-//!   behaviourally identical to per-node pushes;
+//! * **consistency** — every row is as long as the node's degree, every arc
+//!   has its reverse, and the rows hold `2·num_edges` arcs;
 //! * **simplicity** — rebuilding through the deduplicating
-//!   `AdjacencyList::from_edges` keeps the edge count, i.e. the snapshot has
+//!   `SnapshotBuf::from_edges` keeps the edge count, i.e. the snapshot has
 //!   no self-loops and no duplicate edges;
 //! * **independent reference** — geometric snapshots equal the O(n²)
 //!   brute-force radius graph of the very positions they were built from, and
@@ -22,33 +20,30 @@ use meg_core::evolving::{EvolvingGraph, FrozenGraph, ScheduledGraph};
 use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg};
 use meg_geometric::radius_graph::radius_graph_brute_force;
 use meg_geometric::{GeometricMeg, GeometricMegParams};
-use meg_graph::{generators, AdjacencyList, Graph, Node, SnapshotBuf};
+use meg_graph::{generators, Node, SnapshotBuf};
 use meg_mobility::{Mobility, TorusWalkers};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// The old-representation invariants every snapshot must satisfy.
-fn assert_snapshot_matches_adjacency_semantics(buf: &SnapshotBuf, context: &str) {
+/// The invariants every snapshot must satisfy.
+fn assert_simple_snapshot(buf: &SnapshotBuf, context: &str) {
     let n = buf.num_nodes();
-    // Replay the staged edge stream into the legacy structure: neighbor
-    // slices must agree node-for-node, in order.
-    let replayed = buf.to_adjacency();
-    assert_eq!(replayed.num_edges(), buf.num_edges(), "{context}");
+    let mut arcs = 0usize;
     for u in 0..n as Node {
-        assert_eq!(
-            buf.neighbors(u),
-            replayed.neighbors(u),
-            "{context}: neighbor slice of {u}"
-        );
-        assert_eq!(
-            Graph::degree(buf, u),
-            replayed.degree(u),
-            "{context}: degree of {u}"
-        );
+        let row = buf.neighbors(u);
+        assert_eq!(buf.degree(u), row.len(), "{context}: degree of {u}");
+        for &v in row {
+            assert!(
+                buf.neighbors(v).contains(&u),
+                "{context}: arc {u}->{v} has no reverse"
+            );
+        }
+        arcs += row.len();
     }
+    assert_eq!(arcs, 2 * buf.num_edges(), "{context}: arc count");
     // Rebuilding through the deduplicating constructor keeps the count:
     // no duplicate edges, no self-loops.
-    let dedup = AdjacencyList::from_edges(n, buf.edges());
+    let dedup = SnapshotBuf::from_edges(n, buf.edges());
     assert_eq!(
         dedup.num_edges(),
         buf.num_edges(),
@@ -56,7 +51,7 @@ fn assert_snapshot_matches_adjacency_semantics(buf: &SnapshotBuf, context: &str)
     );
 }
 
-fn assert_same_edge_set(buf: &SnapshotBuf, reference: &AdjacencyList, context: &str) {
+fn assert_same_edge_set(buf: &SnapshotBuf, reference: &SnapshotBuf, context: &str) {
     assert_eq!(buf.num_nodes(), reference.num_nodes(), "{context}");
     assert_eq!(buf.num_edges(), reference.num_edges(), "{context}");
     for u in 0..buf.num_nodes() as Node {
@@ -69,7 +64,7 @@ fn assert_same_edge_set(buf: &SnapshotBuf, reference: &AdjacencyList, context: &
 }
 
 #[test]
-fn snapshots_are_edge_set_identical_to_the_adjacency_construction() {
+fn snapshots_are_simple_and_match_their_references() {
     let mut draws = 0usize;
     for seed in 0..25u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0xC0FF_EE00 + seed);
@@ -89,7 +84,7 @@ fn snapshots_are_edge_set_identical_to_the_adjacency_construction() {
                     alive_before,
                     "dense seed {seed} step {step}: snapshot != alive set"
                 );
-                assert_snapshot_matches_adjacency_semantics(snap, "dense");
+                assert_simple_snapshot(snap, "dense");
             }
             draws += 1;
         }
@@ -109,7 +104,7 @@ fn snapshots_are_edge_set_identical_to_the_adjacency_construction() {
                     alive_before,
                     "sparse seed {seed} step {step}: snapshot != alive set"
                 );
-                assert_snapshot_matches_adjacency_semantics(snap, "sparse");
+                assert_simple_snapshot(snap, "sparse");
             }
             draws += 1;
         }
@@ -134,7 +129,7 @@ fn snapshots_are_edge_set_identical_to_the_adjacency_construction() {
                 let brute =
                     radius_graph_brute_force(&positions, params.transmission_radius, region);
                 assert_same_edge_set(snap, &brute, "geometric/square");
-                assert_snapshot_matches_adjacency_semantics(snap, "geometric/square");
+                assert_simple_snapshot(snap, "geometric/square");
             }
             draws += 1;
         }
@@ -151,7 +146,7 @@ fn snapshots_are_edge_set_identical_to_the_adjacency_construction() {
             let snap = meg.advance();
             let brute = radius_graph_brute_force(&positions, radius, region);
             assert_same_edge_set(snap, &brute, "geometric/torus");
-            assert_snapshot_matches_adjacency_semantics(snap, "geometric/torus");
+            assert_simple_snapshot(snap, "geometric/torus");
             draws += 1;
         }
 
@@ -161,7 +156,7 @@ fn snapshots_are_edge_set_identical_to_the_adjacency_construction() {
             let mut star = meg_core::adversarial::RotatingStar::new(n.max(2), seed);
             let snap = star.advance();
             assert_eq!(snap.num_edges(), n.max(2) - 1);
-            assert_snapshot_matches_adjacency_semantics(snap, "rotating star");
+            assert_simple_snapshot(snap, "rotating star");
 
             let even = {
                 let n = n.max(4);
@@ -171,7 +166,7 @@ fn snapshots_are_edge_set_identical_to_the_adjacency_construction() {
             let snap = bridge.advance();
             let half = even / 2;
             assert_eq!(snap.num_edges(), half * (half - 1) + 1);
-            assert_snapshot_matches_adjacency_semantics(snap, "rotating bridge");
+            assert_simple_snapshot(snap, "rotating bridge");
             draws += 2;
         }
 

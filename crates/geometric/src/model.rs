@@ -165,7 +165,7 @@ impl<M: Mobility> EvolvingGraph for GeometricMeg<M> {
 mod tests {
     use super::*;
     use meg_core::flooding::{flood, FloodingOutcome};
-    use meg_graph::{connectivity, Graph};
+    use meg_graph::connectivity;
     use meg_mobility::TorusWalkers;
     use rand::rngs::StdRng;
 

@@ -20,7 +20,7 @@
 //! [`radius_graph`] is the one-shot allocating wrapper over the same core
 //! (identical edge order), kept for single-snapshot sampling and tests.
 
-use meg_graph::{AdjacencyList, Node, SnapshotBuf};
+use meg_graph::{Node, SnapshotBuf};
 use meg_mobility::space::{Point, Region};
 use meg_obs as obs;
 
@@ -231,19 +231,26 @@ fn build_bucket_index(
     }
 }
 
-/// The shared bucket-grid core: emits every radius-graph edge as
-/// `(min, max)` pairs, each exactly once, in a deterministic order (bucket
-/// scan order; identical to the order the historical `AdjacencyList`
-/// construction inserted edges in).
-fn radius_graph_core(
+/// Builds the radius graph of `positions` **in place**: the snapshot lands in
+/// the caller-owned `out` buffer, scratch lives in the caller-owned `ws`.
+///
+/// Nodes are connected iff their distance (Euclidean in a square, wrap-around
+/// on a torus) is at most `radius`. Every edge is pushed once as a
+/// `(min, max)` pair in bucket scan order, so neighbor order is
+/// deterministic. Performs zero heap allocations once both buffers'
+/// capacities have warmed up — this is the per-time-step hot path of every
+/// geometric evolving graph.
+pub fn radius_graph_into(
     positions: &[Point],
     radius: f64,
     region: Region,
     ws: &mut RadiusGraphWorkspace,
-    emit: &mut impl FnMut(Node, Node),
+    out: &mut SnapshotBuf,
 ) {
     let n = positions.len();
+    out.begin(n);
     if n == 0 || radius <= 0.0 {
+        out.build();
         return;
     }
     let side = region.side();
@@ -258,10 +265,11 @@ fn radius_graph_core(
     // Monomorphise the candidate scan per metric so the inner lane kernel
     // carries no per-pair branch on the region kind.
     if wrap {
-        scan_buckets(ws, k, true, TorusMetric { r2, side }, emit);
+        scan_buckets(ws, k, true, TorusMetric { r2, side }, out);
     } else {
-        scan_buckets(ws, k, false, SquareMetric { r2 }, emit);
+        scan_buckets(ws, k, false, SquareMetric { r2 }, out);
     }
+    out.build();
 }
 
 /// The bucket-pair candidate scan over an already-built workspace index.
@@ -277,7 +285,7 @@ fn scan_buckets<M: LaneMetric>(
     k: usize,
     wrap: bool,
     metric: M,
-    emit: &mut impl FnMut(Node, Node),
+    out: &mut SnapshotBuf,
 ) {
     let RadiusGraphWorkspace {
         starts,
@@ -323,7 +331,7 @@ fn scan_buckets<M: LaneMetric>(
                 );
                 for &j in &hits[..cnt] {
                     let (u, v) = (nodes[i], nodes[j]);
-                    emit(u.min(v), u.max(v));
+                    out.push_edge(u.min(v), u.max(v));
                 }
             }
             // Forward neighbor buckets (E, SW, S, SE) so each unordered bucket
@@ -362,7 +370,7 @@ fn scan_buckets<M: LaneMetric>(
                     let cnt = compress_close(metric, uxi, uyi, &xs[ts..te], &ys[ts..te], ts, hits);
                     for &j in &hits[..cnt] {
                         let (u, v) = (nodes[i], nodes[j]);
-                        emit(u.min(v), u.max(v));
+                        out.push_edge(u.min(v), u.max(v));
                     }
                 }
             }
@@ -373,59 +381,41 @@ fn scan_buckets<M: LaneMetric>(
     }
 }
 
-/// Builds the radius graph of `positions` **in place**: the snapshot lands in
-/// the caller-owned `out` buffer, scratch lives in the caller-owned `ws`.
-///
-/// Nodes are connected iff their distance (Euclidean in a square, wrap-around
-/// on a torus) is at most `radius`. Performs zero heap allocations once both
-/// buffers' capacities have warmed up — this is the per-time-step hot path of
-/// every geometric evolving graph.
-pub fn radius_graph_into(
-    positions: &[Point],
-    radius: f64,
-    region: Region,
-    ws: &mut RadiusGraphWorkspace,
-    out: &mut SnapshotBuf,
-) {
-    out.begin(positions.len());
-    radius_graph_core(positions, radius, region, ws, &mut |u, v| {
-        out.push_edge(u, v)
-    });
-    out.build();
-}
-
 /// Builds the radius graph of `positions` under the metric of `region`
-/// (one-shot allocating form; same construction — and same edge order — as
-/// [`radius_graph_into`]).
-pub fn radius_graph(positions: &[Point], radius: f64, region: Region) -> AdjacencyList {
-    let mut ws = RadiusGraphWorkspace::default();
-    let mut g = AdjacencyList::new(positions.len());
-    radius_graph_core(positions, radius, region, &mut ws, &mut |u, v| {
-        g.add_edge_unchecked(u, v);
-    });
+/// (one-shot allocating form of [`radius_graph_into`]).
+pub fn radius_graph(positions: &[Point], radius: f64, region: Region) -> SnapshotBuf {
+    let mut g = SnapshotBuf::new();
+    radius_graph_into(
+        positions,
+        radius,
+        region,
+        &mut RadiusGraphWorkspace::default(),
+        &mut g,
+    );
     g
 }
 
 /// Brute-force reference implementation (O(n²)), used by tests and available
 /// for very small inputs.
-pub fn radius_graph_brute_force(positions: &[Point], radius: f64, region: Region) -> AdjacencyList {
+pub fn radius_graph_brute_force(positions: &[Point], radius: f64, region: Region) -> SnapshotBuf {
     let n = positions.len();
-    let mut g = AdjacencyList::new(n);
+    let mut g = SnapshotBuf::new();
+    g.begin(n);
     let r2 = radius * radius;
     for u in 0..n {
         for v in (u + 1)..n {
             if region.distance_squared(positions[u], positions[v]) <= r2 {
-                g.add_edge_unchecked(u as Node, v as Node);
+                g.push_edge(u as Node, v as Node);
             }
         }
     }
+    g.build();
     g
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meg_graph::Graph;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -436,7 +426,7 @@ mod tests {
             .collect()
     }
 
-    fn assert_same_graph(a: &AdjacencyList, b: &AdjacencyList) {
+    fn assert_same_graph(a: &SnapshotBuf, b: &SnapshotBuf) {
         assert_eq!(a.num_nodes(), b.num_nodes());
         assert_eq!(a.num_edges(), b.num_edges());
         for u in 0..a.num_nodes() as Node {

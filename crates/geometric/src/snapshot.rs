@@ -8,7 +8,7 @@
 
 use crate::model::GeometricMegParams;
 use crate::radius_graph::radius_graph;
-use meg_graph::AdjacencyList;
+use meg_graph::SnapshotBuf;
 use meg_mobility::grid_walk::{GridWalk, GridWalkParams};
 use meg_mobility::space::Point;
 use meg_mobility::Mobility;
@@ -20,7 +20,7 @@ pub struct StationarySnapshot {
     /// Node positions drawn from the stationary distribution.
     pub positions: Vec<Point>,
     /// The induced radius graph.
-    pub graph: AdjacencyList,
+    pub graph: SnapshotBuf,
 }
 
 /// Samples one stationary snapshot of the paper's canonical model
@@ -52,7 +52,7 @@ pub fn snapshot_of<M: Mobility>(mobility: &M, transmission_radius: f64) -> Stati
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meg_graph::{connectivity, metrics, Graph};
+    use meg_graph::{connectivity, metrics};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -5,7 +5,7 @@
 //! for lower-bound sanity checks, and the reference implementation that the
 //! flooding engine on a *frozen* evolving graph must agree with.
 
-use crate::{visit_neighbors, Graph, Node};
+use crate::{Node, SnapshotBuf};
 
 /// Distance label meaning "unreachable".
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -13,7 +13,7 @@ pub const UNREACHABLE: u32 = u32::MAX;
 /// Computes hop distances from `source` to every node.
 ///
 /// Unreachable nodes get [`UNREACHABLE`].
-pub fn distances<G: Graph + ?Sized>(g: &G, source: Node) -> Vec<u32> {
+pub fn distances(g: &SnapshotBuf, source: Node) -> Vec<u32> {
     let n = g.num_nodes();
     let mut dist = vec![UNREACHABLE; n];
     let mut queue = std::collections::VecDeque::with_capacity(n.min(1024));
@@ -21,19 +21,19 @@ pub fn distances<G: Graph + ?Sized>(g: &G, source: Node) -> Vec<u32> {
     queue.push_back(source);
     while let Some(u) = queue.pop_front() {
         let du = dist[u as usize];
-        visit_neighbors(g, u, |v| {
+        for &v in g.neighbors(u) {
             if dist[v as usize] == UNREACHABLE {
                 dist[v as usize] = du + 1;
                 queue.push_back(v);
             }
-        });
+        }
     }
     dist
 }
 
 /// Eccentricity of `source`: the maximum finite distance to any reachable
 /// node, together with the number of reachable nodes (including `source`).
-pub fn eccentricity<G: Graph + ?Sized>(g: &G, source: Node) -> (u32, usize) {
+pub fn eccentricity(g: &SnapshotBuf, source: Node) -> (u32, usize) {
     let dist = distances(g, source);
     let mut ecc = 0u32;
     let mut reached = 0usize;
@@ -47,7 +47,7 @@ pub fn eccentricity<G: Graph + ?Sized>(g: &G, source: Node) -> (u32, usize) {
 }
 
 /// Nodes reachable from `source`, including `source` itself.
-pub fn reachable_count<G: Graph + ?Sized>(g: &G, source: Node) -> usize {
+pub fn reachable_count(g: &SnapshotBuf, source: Node) -> usize {
     eccentricity(g, source).1
 }
 
@@ -56,7 +56,7 @@ pub fn reachable_count<G: Graph + ?Sized>(g: &G, source: Node) -> usize {
 ///
 /// On a *static* graph this is exactly the per-step growth of the flooding
 /// frontier, so it doubles as the reference trace for flooding tests.
-pub fn level_sizes<G: Graph + ?Sized>(g: &G, source: Node) -> Vec<usize> {
+pub fn level_sizes(g: &SnapshotBuf, source: Node) -> Vec<usize> {
     let dist = distances(g, source);
     let max_d = dist
         .iter()
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn distances_with_unreachable() {
-        let g = crate::AdjacencyList::from_edges(4, [(0, 1)]);
+        let g = SnapshotBuf::from_edges(4, [(0, 1)]);
         let d = distances(&g, 0);
         assert_eq!(d[0], 0);
         assert_eq!(d[1], 1);
@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn level_sizes_singleton() {
-        let g = crate::AdjacencyList::new(3);
+        let g = SnapshotBuf::with_nodes(3);
         let levels = level_sizes(&g, 1);
         assert_eq!(levels, vec![1]);
     }

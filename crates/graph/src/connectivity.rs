@@ -6,7 +6,7 @@
 //! Experiments verify connectivity before trusting a measured flooding time,
 //! and the disconnected regime is itself an interesting ablation.
 
-use crate::{Graph, Node};
+use crate::{Node, SnapshotBuf};
 
 /// Classic union–find (disjoint set union) with path halving and union by size.
 #[derive(Clone, Debug)]
@@ -92,7 +92,7 @@ impl Components {
 }
 
 /// Computes connected components by repeated BFS.
-pub fn connected_components<G: Graph + ?Sized>(g: &G) -> Components {
+pub fn connected_components(g: &SnapshotBuf) -> Components {
     let n = g.num_nodes();
     let mut labels = vec![u32::MAX; n];
     let mut sizes = Vec::new();
@@ -107,12 +107,12 @@ pub fn connected_components<G: Graph + ?Sized>(g: &G) -> Components {
         queue.push_back(start as Node);
         while let Some(u) = queue.pop_front() {
             size += 1;
-            g.for_each_neighbor(u, &mut |v| {
+            for &v in g.neighbors(u) {
                 if labels[v as usize] == u32::MAX {
                     labels[v as usize] = id;
                     queue.push_back(v);
                 }
-            });
+            }
         }
         sizes.push(size);
     }
@@ -121,7 +121,7 @@ pub fn connected_components<G: Graph + ?Sized>(g: &G) -> Components {
 
 /// Returns `true` if the graph is connected (graphs on 0 or 1 nodes count as
 /// connected).
-pub fn is_connected<G: Graph + ?Sized>(g: &G) -> bool {
+pub fn is_connected(g: &SnapshotBuf) -> bool {
     let n = g.num_nodes();
     if n <= 1 {
         return true;
@@ -132,7 +132,7 @@ pub fn is_connected<G: Graph + ?Sized>(g: &G) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generators, AdjacencyList};
+    use crate::generators;
 
     #[test]
     fn union_find_basic() {
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn components_of_two_triangles() {
-        let g = AdjacencyList::from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        let g = SnapshotBuf::from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let c = connected_components(&g);
         assert_eq!(c.count(), 2);
         assert_eq!(c.sizes, vec![3, 3]);
@@ -164,14 +164,14 @@ mod tests {
     fn connected_predicates() {
         assert!(is_connected(&generators::complete(10)));
         assert!(is_connected(&generators::path(10)));
-        assert!(is_connected(&AdjacencyList::new(1)));
-        assert!(is_connected(&AdjacencyList::new(0)));
-        assert!(!is_connected(&AdjacencyList::new(2)));
+        assert!(is_connected(&SnapshotBuf::with_nodes(1)));
+        assert!(is_connected(&SnapshotBuf::with_nodes(0)));
+        assert!(!is_connected(&SnapshotBuf::with_nodes(2)));
     }
 
     #[test]
     fn isolated_nodes_are_singleton_components() {
-        let g = AdjacencyList::from_edges(4, [(1, 2)]);
+        let g = SnapshotBuf::from_edges(4, [(1, 2)]);
         let c = connected_components(&g);
         assert_eq!(c.count(), 3);
         assert_eq!(c.largest(), 2);

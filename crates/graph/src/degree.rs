@@ -6,7 +6,7 @@
 //! are both a model sanity check and an input to the lower-bound argument of
 //! Theorem 4.4 (which hinges on the maximum degree).
 
-use crate::{Graph, Node};
+use crate::{Node, SnapshotBuf};
 
 /// Summary of the degree sequence of a graph.
 #[derive(Clone, Debug, PartialEq)]
@@ -24,12 +24,12 @@ pub struct DegreeStats {
 }
 
 /// Computes the degree of every node.
-pub fn degree_sequence<G: Graph + ?Sized>(g: &G) -> Vec<usize> {
+pub fn degree_sequence(g: &SnapshotBuf) -> Vec<usize> {
     (0..g.num_nodes()).map(|u| g.degree(u as Node)).collect()
 }
 
 /// Computes [`DegreeStats`] for a graph. Returns `None` for the empty graph.
-pub fn degree_stats<G: Graph + ?Sized>(g: &G) -> Option<DegreeStats> {
+pub fn degree_stats(g: &SnapshotBuf) -> Option<DegreeStats> {
     let n = g.num_nodes();
     if n == 0 {
         return None;
@@ -57,7 +57,7 @@ pub fn degree_stats<G: Graph + ?Sized>(g: &G) -> Option<DegreeStats> {
 }
 
 /// Degree histogram: `hist[d]` is the number of nodes of degree `d`.
-pub fn degree_histogram<G: Graph + ?Sized>(g: &G) -> Vec<usize> {
+pub fn degree_histogram(g: &SnapshotBuf) -> Vec<usize> {
     let seq = degree_sequence(g);
     let max = seq.iter().copied().max().unwrap_or(0);
     let mut hist = vec![0usize; max + 1];
@@ -70,7 +70,7 @@ pub fn degree_histogram<G: Graph + ?Sized>(g: &G) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generators, AdjacencyList};
+    use crate::generators;
 
     #[test]
     fn stats_of_star() {
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn isolated_counting_and_histogram() {
-        let g = AdjacencyList::from_edges(5, [(0, 1)]);
+        let g = SnapshotBuf::from_edges(5, [(0, 1)]);
         let s = degree_stats(&g).unwrap();
         assert_eq!(s.isolated, 3);
         let hist = degree_histogram(&g);
@@ -109,7 +109,7 @@ mod tests {
 
     #[test]
     fn empty_graph_has_no_stats() {
-        assert!(degree_stats(&AdjacencyList::new(0)).is_none());
-        assert_eq!(degree_histogram(&AdjacencyList::new(0)), vec![0]);
+        assert!(degree_stats(&SnapshotBuf::with_nodes(0)).is_none());
+        assert_eq!(degree_histogram(&SnapshotBuf::with_nodes(0)), vec![0]);
     }
 }

@@ -6,7 +6,7 @@
 //! stationary snapshot* — so the experiments repeatedly compare measured
 //! flooding times against snapshot diameters.
 
-use crate::{bfs, Graph, Node};
+use crate::{bfs, Node, SnapshotBuf};
 use rand::Rng;
 
 /// Result of a diameter computation.
@@ -31,7 +31,7 @@ impl Diameter {
 /// Exact diameter via one BFS per node. O(n · (n + m)): fine for the snapshot
 /// sizes used in tests and calibration, too slow for the largest sweeps (use
 /// [`double_sweep_lower_bound`] or [`estimate_by_sampling`] there).
-pub fn exact<G: Graph + ?Sized>(g: &G) -> Diameter {
+pub fn exact(g: &SnapshotBuf) -> Diameter {
     let n = g.num_nodes();
     if n == 0 {
         return Diameter::Finite(0);
@@ -51,7 +51,7 @@ pub fn exact<G: Graph + ?Sized>(g: &G) -> Diameter {
 /// farthest node found. Exact on trees, usually very tight on geometric
 /// graphs. Returns `Infinite` if the graph is disconnected (detected from the
 /// first sweep).
-pub fn double_sweep_lower_bound<G: Graph + ?Sized>(g: &G, start: Node) -> Diameter {
+pub fn double_sweep_lower_bound(g: &SnapshotBuf, start: Node) -> Diameter {
     let n = g.num_nodes();
     if n == 0 {
         return Diameter::Finite(0);
@@ -80,11 +80,7 @@ pub fn double_sweep_lower_bound<G: Graph + ?Sized>(g: &G, start: Node) -> Diamet
 /// Estimates the diameter as the maximum eccentricity over `samples` random
 /// start nodes (always a lower bound on the true diameter). Returns `Infinite`
 /// if any sampled BFS fails to reach the whole graph.
-pub fn estimate_by_sampling<G: Graph + ?Sized, R: Rng>(
-    g: &G,
-    samples: usize,
-    rng: &mut R,
-) -> Diameter {
+pub fn estimate_by_sampling<R: Rng>(g: &SnapshotBuf, samples: usize, rng: &mut R) -> Diameter {
     let n = g.num_nodes();
     if n == 0 {
         return Diameter::Finite(0);
@@ -104,7 +100,7 @@ pub fn estimate_by_sampling<G: Graph + ?Sized, R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generators, AdjacencyList};
+    use crate::generators;
     use rand::SeedableRng;
 
     #[test]
@@ -114,13 +110,13 @@ mod tests {
         assert_eq!(exact(&generators::cycle(11)), Diameter::Finite(5));
         assert_eq!(exact(&generators::complete(7)), Diameter::Finite(1));
         assert_eq!(exact(&generators::star(9)), Diameter::Finite(2));
-        assert_eq!(exact(&AdjacencyList::new(1)), Diameter::Finite(0));
-        assert_eq!(exact(&AdjacencyList::new(0)), Diameter::Finite(0));
+        assert_eq!(exact(&SnapshotBuf::with_nodes(1)), Diameter::Finite(0));
+        assert_eq!(exact(&SnapshotBuf::with_nodes(0)), Diameter::Finite(0));
     }
 
     #[test]
     fn exact_detects_disconnection() {
-        let g = AdjacencyList::from_edges(4, [(0, 1), (2, 3)]);
+        let g = SnapshotBuf::from_edges(4, [(0, 1), (2, 3)]);
         assert_eq!(exact(&g), Diameter::Infinite);
         assert_eq!(exact(&g).finite(), None);
     }
@@ -158,7 +154,7 @@ mod tests {
     #[test]
     fn sampling_detects_disconnection() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let g = AdjacencyList::from_edges(5, [(0, 1), (1, 2)]);
+        let g = SnapshotBuf::from_edges(5, [(0, 1), (1, 2)]);
         assert_eq!(estimate_by_sampling(&g, 3, &mut rng), Diameter::Infinite);
     }
 }

@@ -8,17 +8,17 @@
 //! (random-subset and BFS-ball sampling, the latter catching the clustered
 //! sets that are worst for geometric graphs).
 
-use crate::{out_neighborhood, visit_neighbors, Graph, Node, NodeSet};
+use crate::{out_neighborhood, Node, NodeSet, SnapshotBuf};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// `|N(I)|` for the given set.
-pub fn neighborhood_size<G: Graph + ?Sized>(g: &G, set: &NodeSet) -> usize {
+pub fn neighborhood_size(g: &SnapshotBuf, set: &NodeSet) -> usize {
     out_neighborhood(g, set).len()
 }
 
 /// Expansion ratio `|N(I)| / |I|`. Returns `f64::INFINITY` for the empty set.
-pub fn expansion_ratio<G: Graph + ?Sized>(g: &G, set: &NodeSet) -> f64 {
+pub fn expansion_ratio(g: &SnapshotBuf, set: &NodeSet) -> f64 {
     if set.is_empty() {
         return f64::INFINITY;
     }
@@ -30,14 +30,14 @@ pub fn expansion_ratio<G: Graph + ?Sized>(g: &G, set: &NodeSet) -> f64 {
 ///
 /// Cost is `Σ_{i≤h} C(n, i)`; intended for `n ≤ ~20` in tests and for
 /// cross-validating the sampling estimators.
-pub fn is_hk_expander_exact<G: Graph + ?Sized>(g: &G, h: usize, k: f64) -> bool {
+pub fn is_hk_expander_exact(g: &SnapshotBuf, h: usize, k: f64) -> bool {
     worst_expansion_exact(g, h).is_none_or(|(_, ratio)| ratio >= k)
 }
 
 /// Exhaustively finds the set of size ≤ `h` with the worst expansion ratio.
 ///
 /// Returns `(set, ratio)`, or `None` when the graph has no nodes or `h == 0`.
-pub fn worst_expansion_exact<G: Graph + ?Sized>(g: &G, h: usize) -> Option<(NodeSet, f64)> {
+pub fn worst_expansion_exact(g: &SnapshotBuf, h: usize) -> Option<(NodeSet, f64)> {
     let n = g.num_nodes();
     if n == 0 || h == 0 {
         return None;
@@ -46,8 +46,8 @@ pub fn worst_expansion_exact<G: Graph + ?Sized>(g: &G, h: usize) -> Option<(Node
     let mut worst: Option<(NodeSet, f64)> = None;
     let mut members: Vec<Node> = Vec::with_capacity(h);
     // Depth-first enumeration of all subsets of size 1..=h.
-    fn recurse<G: Graph + ?Sized>(
-        g: &G,
+    fn recurse(
+        g: &SnapshotBuf,
         n: usize,
         h: usize,
         start: usize,
@@ -93,8 +93,8 @@ pub enum SamplingStrategy {
 /// The estimate is an *upper bound* on the true worst-case ratio (sampling can
 /// only miss worse sets), which is the conservative direction when using it to
 /// drive the flooding upper-bound evaluator.
-pub fn min_expansion_sampled<G: Graph + ?Sized, R: Rng>(
-    g: &G,
+pub fn min_expansion_sampled<R: Rng>(
+    g: &SnapshotBuf,
     h: usize,
     samples: usize,
     strategy: SamplingStrategy,
@@ -126,7 +126,7 @@ pub fn min_expansion_sampled<G: Graph + ?Sized, R: Rng>(
 
 /// Grows a BFS ball of exactly `target` nodes around `seed` (fewer if the
 /// component of `seed` is smaller than `target`).
-pub fn bfs_ball<G: Graph + ?Sized>(g: &G, seed: Node, target: usize) -> NodeSet {
+pub fn bfs_ball(g: &SnapshotBuf, seed: Node, target: usize) -> NodeSet {
     let n = g.num_nodes();
     let mut set = NodeSet::new(n);
     let mut queue = std::collections::VecDeque::new();
@@ -134,17 +134,16 @@ pub fn bfs_ball<G: Graph + ?Sized>(g: &G, seed: Node, target: usize) -> NodeSet 
     queue.push_back(seed);
     while set.len() < target {
         let Some(u) = queue.pop_front() else { break };
-        let mut done = false;
-        visit_neighbors(g, u, |v| {
-            if done || set.contains(v) {
-                return;
+        for &v in g.neighbors(u) {
+            if set.contains(v) {
+                continue;
             }
             set.insert(v);
             queue.push_back(v);
             if set.len() >= target {
-                done = true;
+                break;
             }
-        });
+        }
     }
     set
 }
@@ -173,8 +172,8 @@ pub struct ExpansionProfile {
 impl ExpansionProfile {
     /// Measures the profile at geometrically spaced set sizes
     /// `1, 2, 4, …` up to `n/2`, with `samples` candidate sets per size.
-    pub fn measure<G: Graph + ?Sized, R: Rng>(
-        g: &G,
+    pub fn measure<R: Rng>(
+        g: &SnapshotBuf,
         samples: usize,
         strategy: SamplingStrategy,
         rng: &mut R,
@@ -278,7 +277,7 @@ mod tests {
         assert_eq!(ball.len(), 7);
         assert!(ball.contains(12));
         // ball limited by component size
-        let h = crate::AdjacencyList::from_edges(6, [(0, 1), (1, 2)]);
+        let h = SnapshotBuf::from_edges(6, [(0, 1), (1, 2)]);
         let ball2 = bfs_ball(&h, 0, 5);
         assert_eq!(ball2.len(), 3);
     }

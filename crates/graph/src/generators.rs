@@ -5,74 +5,87 @@
 //! stationary law of edge-MEG. Radius graphs over node positions, the
 //! snapshots of geometric-MEG, are built by `meg-geometric`.
 
-use crate::{AdjacencyList, Node};
+use crate::{Node, SnapshotBuf};
 use rand::Rng;
 
-/// Path graph `0 - 1 - … - (n-1)`.
-pub fn path(n: usize) -> AdjacencyList {
-    let mut g = AdjacencyList::new(n);
-    for u in 1..n {
-        g.add_edge_unchecked((u - 1) as Node, u as Node);
-    }
+/// Builds a snapshot over `n` nodes from the edges `push` stages (each
+/// exactly once, no self-loops), in staging order.
+fn built(n: usize, push: impl FnOnce(&mut SnapshotBuf)) -> SnapshotBuf {
+    let mut g = SnapshotBuf::new();
+    g.begin(n);
+    push(&mut g);
+    g.build();
     g
+}
+
+/// Path graph `0 - 1 - … - (n-1)`.
+pub fn path(n: usize) -> SnapshotBuf {
+    built(n, |g| {
+        for u in 1..n {
+            g.push_edge((u - 1) as Node, u as Node);
+        }
+    })
 }
 
 /// Cycle graph on `n ≥ 3` nodes (for `n < 3` it degenerates to a path).
-pub fn cycle(n: usize) -> AdjacencyList {
-    let mut g = path(n);
-    if n >= 3 {
-        g.add_edge_unchecked((n - 1) as Node, 0);
-    }
-    g
+pub fn cycle(n: usize) -> SnapshotBuf {
+    built(n, |g| {
+        for u in 1..n {
+            g.push_edge((u - 1) as Node, u as Node);
+        }
+        if n >= 3 {
+            g.push_edge((n - 1) as Node, 0);
+        }
+    })
 }
 
 /// Star graph: node 0 is the center, nodes `1..=leaves` are leaves.
-pub fn star(leaves: usize) -> AdjacencyList {
-    let mut g = AdjacencyList::new(leaves + 1);
-    for u in 1..=leaves {
-        g.add_edge_unchecked(0, u as Node);
-    }
-    g
+pub fn star(leaves: usize) -> SnapshotBuf {
+    built(leaves + 1, |g| {
+        for u in 1..=leaves {
+            g.push_edge(0, u as Node);
+        }
+    })
 }
 
 /// Complete graph on `n` nodes.
-pub fn complete(n: usize) -> AdjacencyList {
-    let mut g = AdjacencyList::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            g.add_edge_unchecked(u as Node, v as Node);
+pub fn complete(n: usize) -> SnapshotBuf {
+    built(n, |g| {
+        for u in 0..n {
+            for v in (u + 1)..n {
+                g.push_edge(u as Node, v as Node);
+            }
         }
-    }
-    g
+    })
 }
 
 /// Two-dimensional grid graph with `rows × cols` nodes, 4-neighborhood.
 /// Node `(r, c)` has index `r * cols + c`.
-pub fn grid2d(rows: usize, cols: usize) -> AdjacencyList {
-    let mut g = AdjacencyList::new(rows * cols);
+pub fn grid2d(rows: usize, cols: usize) -> SnapshotBuf {
     let idx = |r: usize, c: usize| (r * cols + c) as Node;
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                g.add_edge_unchecked(idx(r, c), idx(r, c + 1));
-            }
-            if r + 1 < rows {
-                g.add_edge_unchecked(idx(r, c), idx(r + 1, c));
+    built(rows * cols, |g| {
+        for r in 0..rows {
+            for c in 0..cols {
+                if c + 1 < cols {
+                    g.push_edge(idx(r, c), idx(r, c + 1));
+                }
+                if r + 1 < rows {
+                    g.push_edge(idx(r, c), idx(r + 1, c));
+                }
             }
         }
-    }
-    g
+    })
 }
 
 /// Complete bipartite graph `K_{a,b}`; the first `a` nodes form one side.
-pub fn complete_bipartite(a: usize, b: usize) -> AdjacencyList {
-    let mut g = AdjacencyList::new(a + b);
-    for u in 0..a {
-        for v in 0..b {
-            g.add_edge_unchecked(u as Node, (a + v) as Node);
+pub fn complete_bipartite(a: usize, b: usize) -> SnapshotBuf {
+    built(a + b, |g| {
+        for u in 0..a {
+            for v in 0..b {
+                g.push_edge(u as Node, (a + v) as Node);
+            }
         }
-    }
-    g
+    })
 }
 
 /// Erdős–Rényi random graph `G(n, p)`: every unordered pair is an edge
@@ -81,39 +94,39 @@ pub fn complete_bipartite(a: usize, b: usize) -> AdjacencyList {
 /// Uses geometric "skip" sampling over the lexicographically ordered pairs, so
 /// the cost is `O(n + m)` rather than `O(n²)` — essential for the sparse
 /// regimes (`p = Θ(log n / n)`) the paper cares about.
-pub fn erdos_renyi<R: Rng>(n: usize, p: f64, rng: &mut R) -> AdjacencyList {
+pub fn erdos_renyi<R: Rng>(n: usize, p: f64, rng: &mut R) -> SnapshotBuf {
     assert!((0.0..=1.0).contains(&p), "p={p} must lie in [0, 1]");
-    let mut g = AdjacencyList::new(n);
-    if n < 2 || p == 0.0 {
-        return g;
-    }
     if p >= 1.0 {
         return complete(n);
     }
-    // Iterate over pairs (u, v), u < v, in lexicographic order, skipping ahead
-    // by geometrically distributed gaps.
-    let log_q = (1.0 - p).ln();
-    let total_pairs = n as u64 * (n as u64 - 1) / 2;
-    let mut idx: u64 = 0;
-    loop {
-        // Draw the gap to the next selected pair: floor(ln(U)/ln(1-p)).
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let skip = (u.ln() / log_q).floor() as u64;
-        idx = match idx.checked_add(skip) {
-            Some(v) => v,
-            None => break,
-        };
-        if idx >= total_pairs {
-            break;
+    built(n, |g| {
+        if n < 2 || p == 0.0 {
+            return;
         }
-        let (a, b) = pair_from_index(n as u64, idx);
-        g.add_edge_unchecked(a as Node, b as Node);
-        idx += 1;
-        if idx >= total_pairs {
-            break;
+        // Iterate over pairs (u, v), u < v, in lexicographic order, skipping
+        // ahead by geometrically distributed gaps.
+        let log_q = (1.0 - p).ln();
+        let total_pairs = n as u64 * (n as u64 - 1) / 2;
+        let mut idx: u64 = 0;
+        loop {
+            // Draw the gap to the next selected pair: floor(ln(U)/ln(1-p)).
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let skip = (u.ln() / log_q).floor() as u64;
+            idx = match idx.checked_add(skip) {
+                Some(v) => v,
+                None => break,
+            };
+            if idx >= total_pairs {
+                break;
+            }
+            let (a, b) = pair_from_index(n as u64, idx);
+            g.push_edge(a as Node, b as Node);
+            idx += 1;
+            if idx >= total_pairs {
+                break;
+            }
         }
-    }
-    g
+    })
 }
 
 /// Maps a linear index in `0 .. n(n-1)/2` to the unordered pair `(a, b)` with
@@ -155,7 +168,6 @@ pub fn index_of_pair(n: u64, a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Graph;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

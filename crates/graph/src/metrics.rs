@@ -1,10 +1,10 @@
 //! Whole-graph metrics: density, average degree, clustering, and a compact
 //! snapshot summary used by experiment logs.
 
-use crate::{connectivity, degree, Graph, Node};
+use crate::{connectivity, degree, Node, SnapshotBuf};
 
 /// Edge density: `m / C(n, 2)`. Zero for graphs with fewer than two nodes.
-pub fn density<G: Graph + ?Sized>(g: &G) -> f64 {
+pub fn density(g: &SnapshotBuf) -> f64 {
     let n = g.num_nodes();
     if n < 2 {
         return 0.0;
@@ -14,7 +14,7 @@ pub fn density<G: Graph + ?Sized>(g: &G) -> f64 {
 }
 
 /// Average degree `2m / n`. Zero for the empty graph.
-pub fn average_degree<G: Graph + ?Sized>(g: &G) -> f64 {
+pub fn average_degree(g: &SnapshotBuf) -> f64 {
     let n = g.num_nodes();
     if n == 0 {
         return 0.0;
@@ -24,12 +24,12 @@ pub fn average_degree<G: Graph + ?Sized>(g: &G) -> f64 {
 
 /// Global clustering coefficient (transitivity): `3 · #triangles / #wedges`.
 /// Returns 0 when the graph has no wedge.
-pub fn global_clustering<G: Graph + ?Sized>(g: &G) -> f64 {
+pub fn global_clustering(g: &SnapshotBuf) -> f64 {
     let n = g.num_nodes();
     let mut wedges = 0u64;
     let mut closed = 0u64; // counts each triangle 3 times (once per apex) x ordered pair / 2
     for u in 0..n as Node {
-        let nb = g.neighbors_vec(u);
+        let nb = g.neighbors(u);
         let d = nb.len() as u64;
         wedges += d * d.saturating_sub(1) / 2;
         for i in 0..nb.len() {
@@ -67,7 +67,7 @@ pub struct SnapshotSummary {
 }
 
 /// Builds a [`SnapshotSummary`].
-pub fn summarize<G: Graph + ?Sized>(g: &G) -> SnapshotSummary {
+pub fn summarize(g: &SnapshotBuf) -> SnapshotSummary {
     let comps = connectivity::connected_components(g);
     let ds = degree::degree_stats(g);
     SnapshotSummary {
@@ -84,19 +84,19 @@ pub fn summarize<G: Graph + ?Sized>(g: &G) -> SnapshotSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generators, AdjacencyList};
+    use crate::generators;
 
     #[test]
     fn density_extremes() {
         assert_eq!(density(&generators::complete(6)), 1.0);
-        assert_eq!(density(&AdjacencyList::new(6)), 0.0);
-        assert_eq!(density(&AdjacencyList::new(1)), 0.0);
+        assert_eq!(density(&SnapshotBuf::with_nodes(6)), 0.0);
+        assert_eq!(density(&SnapshotBuf::with_nodes(1)), 0.0);
     }
 
     #[test]
     fn average_degree_of_cycle_is_two() {
         assert_eq!(average_degree(&generators::cycle(9)), 2.0);
-        assert_eq!(average_degree(&AdjacencyList::new(0)), 0.0);
+        assert_eq!(average_degree(&SnapshotBuf::with_nodes(0)), 0.0);
     }
 
     #[test]
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn summary_of_disconnected_graph() {
-        let g = AdjacencyList::from_edges(6, [(0, 1), (1, 2), (3, 4)]);
+        let g = SnapshotBuf::from_edges(6, [(0, 1), (1, 2), (3, 4)]);
         let s = summarize(&g);
         assert_eq!(s.nodes, 6);
         assert_eq!(s.edges, 3);

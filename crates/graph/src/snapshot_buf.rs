@@ -1,12 +1,12 @@
-//! Reusable flat CSR snapshot buffer — the allocation-free hot path of the
-//! evolving-graph pipeline.
+//! Reusable flat CSR snapshot buffer — the workspace's one graph
+//! representation and the allocation-free hot path of the evolving-graph
+//! pipeline.
 //!
-//! Every `EvolvingGraph::advance()` produces a fresh snapshot `G_t`. Building
-//! an [`AdjacencyList`] for that (one heap `Vec` per
-//! node) costs `Θ(n)` small allocations per time step, which dominates the
-//! simulation cost in exactly the large-`n` regimes the paper's theorems are
-//! about. [`SnapshotBuf`] replaces it with a model-owned, **reusable** flat
-//! CSR (compressed sparse row) buffer:
+//! Every `EvolvingGraph::advance()` produces a fresh snapshot `G_t`. One heap
+//! `Vec` per node would cost `Θ(n)` small allocations per time step, which
+//! dominates the simulation cost in exactly the large-`n` regimes the paper's
+//! theorems are about. [`SnapshotBuf`] is instead a model-owned, **reusable**
+//! flat CSR (compressed sparse row) buffer:
 //!
 //! * `offsets: Vec<usize>` (`n + 1` entries) and `targets: Vec<Node>`
 //!   (`2·m` entries) hold the finished snapshot — two contiguous arrays,
@@ -20,9 +20,13 @@
 //!
 //! The build is a stable counting sort over the staged edge stream: node
 //! `u`'s neighbors end up in exactly the order edges incident to `u` were
-//! pushed. This matches the push order of the `AdjacencyList` construction it
-//! replaces, which is what keeps RNG-consuming consumers (push–pull's random
-//! neighbor choice, BFS-ball sampling) byte-identical across the migration.
+//! pushed. RNG-consuming consumers (push–pull's random neighbor choice,
+//! BFS-ball sampling) depend on that order, so every producer's push order is
+//! part of its reproducibility contract.
+//!
+//! Static graphs — generator families, test fixtures, scripted schedules —
+//! are built once with [`SnapshotBuf::from_edges`] (or `begin`/`push_edge`/
+//! `build` directly) and then queried like any other snapshot.
 //!
 //! ## Delta maintenance
 //!
@@ -41,7 +45,7 @@
 //! preserved across deltas (swap-remove scrambles it); consumers that need
 //! order stability must use the rebuild path.
 
-use crate::{AdjacencyList, Graph, Node};
+use crate::Node;
 
 /// How [`SnapshotBuf::apply_delta`] absorbed one round of edits — the signal
 /// the metrics layer and the delta-consistency tests use to distinguish
@@ -81,18 +85,18 @@ impl DeltaOutcome {
 ///
 /// Lifecycle: [`begin(n)`](SnapshotBuf::begin) →
 /// [`push_edge`](SnapshotBuf::push_edge)`*` → [`build`](SnapshotBuf::build) →
-/// query (via [`Graph`] or [`neighbors`](SnapshotBuf::neighbors)) → `begin`
-/// again. Queries before `build` are a logic error (checked by
-/// `debug_assert`).
+/// query ([`neighbors`](SnapshotBuf::neighbors),
+/// [`degree`](SnapshotBuf::degree), …) → `begin` again. Queries before
+/// `build` are a logic error (checked by `debug_assert`).
 ///
 /// Producers must push each undirected edge exactly once and never push
-/// self-loops — the same contract as
-/// [`AdjacencyList::add_edge_unchecked`].
+/// self-loops; [`from_edges`](SnapshotBuf::from_edges) is the checked
+/// constructor for edge lists that may contain either.
 ///
 /// ## Example
 ///
 /// ```
-/// use meg_graph::{Graph, SnapshotBuf};
+/// use meg_graph::SnapshotBuf;
 ///
 /// let mut buf = SnapshotBuf::new();
 /// for t in 0..3 {
@@ -134,9 +138,6 @@ pub struct SnapshotBuf {
     /// Per-row spare slots requested at the last build; reused by the
     /// slack-exhaustion fallback rebuild.
     slack: u32,
-    /// Whether `edges` still mirrors the live edge set (false once a delta
-    /// has edited rows in place).
-    staging_valid: bool,
     built: bool,
 }
 
@@ -152,7 +153,6 @@ impl SnapshotBuf {
             row_len: Vec::new(),
             m: 0,
             slack: 0,
-            staging_valid: true,
             built: true,
         }
     }
@@ -161,6 +161,30 @@ impl SnapshotBuf {
     pub fn with_nodes(n: usize) -> Self {
         let mut buf = Self::new();
         buf.begin(n);
+        buf.build();
+        buf
+    }
+
+    /// Builds the simple graph on `n` nodes with the given edges — the
+    /// constructor for tests, examples and scripted schedules.
+    ///
+    /// Self-loops and repeated edges (in either orientation) are dropped; the
+    /// first occurrence of an edge wins, so node `u`'s neighbors appear in
+    /// the order of the first edges incident to `u`. Panics if an endpoint is
+    /// out of range.
+    pub fn from_edges<I: IntoIterator<Item = (Node, Node)>>(n: usize, edges: I) -> Self {
+        let mut seen = std::collections::HashSet::new();
+        let mut buf = Self::new();
+        buf.begin(n);
+        for (u, v) in edges {
+            assert!(
+                (u as usize) < n && (v as usize) < n,
+                "edge ({u},{v}) out of range for n={n}"
+            );
+            if u != v && seen.insert((u.min(v), u.max(v))) {
+                buf.push_edge(u, v);
+            }
+        }
         buf.build();
         buf
     }
@@ -180,8 +204,7 @@ impl SnapshotBuf {
     /// Stages the undirected edge `{u, v}`.
     ///
     /// The caller guarantees `u != v`, both endpoints in range, and that the
-    /// edge has not been pushed before (`debug_assert`ed where cheap — the
-    /// same contract as [`AdjacencyList::add_edge_unchecked`]).
+    /// edge has not been pushed before (`debug_assert`ed where cheap).
     #[inline]
     pub fn push_edge(&mut self, u: Node, v: Node) {
         debug_assert!(!self.built, "push_edge after build without begin");
@@ -243,7 +266,6 @@ impl SnapshotBuf {
         }
         self.m = self.edges.len();
         self.slack = slack;
-        self.staging_valid = true;
         self.built = true;
     }
 
@@ -269,16 +291,12 @@ impl SnapshotBuf {
             self.remove_arc(v, u);
             self.m -= 1;
         }
-        if !deaths.is_empty() {
-            self.staging_valid = false;
-        }
         for (i, &(u, v)) in births.iter().enumerate() {
             debug_assert_ne!(u, v, "self-loop birth ({u},{v})");
             if self.row_has_slack(u) && self.row_has_slack(v) {
                 self.push_arc(u, v);
                 self.push_arc(v, u);
                 self.m += 1;
-                self.staging_valid = false;
             } else {
                 self.rebuild_from_rows(&births[i..]);
                 return DeltaOutcome::Rebuilt {
@@ -345,45 +363,33 @@ impl SnapshotBuf {
         self.finish_build(slack);
     }
 
-    /// Rebuilds the buffer as an exact copy of an adjacency list, preserving
-    /// every neighbor list's order (used by the frozen/scheduled adapters).
-    pub fn copy_from_adjacency(&mut self, g: &AdjacencyList) {
-        let n = g.num_nodes();
-        self.n = n;
-        self.edges.clear();
-        self.deg.clear();
-        self.deg.resize(n, 0);
-        self.offsets.clear();
-        self.offsets.reserve(n + 1);
-        self.targets.clear();
-        self.row_len.clear();
-        self.row_len.reserve(n);
-        let mut acc = 0usize;
-        self.offsets.push(0);
-        for u in 0..n {
-            let d = g.neighbors(u as Node).len();
-            self.row_len.push(d as u32);
-            acc += d;
-            self.offsets.push(acc);
-        }
-        self.targets.reserve(acc);
-        for u in 0..n {
-            self.targets.extend_from_slice(g.neighbors(u as Node));
-        }
-        // Recover the staged edge stream so `num_edges`/`edges` stay
-        // consistent: each undirected edge once, in row order.
-        for u in 0..n as Node {
-            for &v in g.neighbors(u) {
-                if u < v {
-                    self.edges.push((u, v));
-                }
-            }
-        }
-        debug_assert_eq!(self.edges.len(), g.num_edges());
-        self.m = self.edges.len();
-        self.slack = 0;
-        self.staging_valid = true;
-        self.built = true;
+    /// Number of nodes `n`. Nodes are `0 .. n`.
+    pub fn num_nodes(&self) -> usize {
+        self.n
+    }
+
+    /// Number of undirected edges.
+    pub fn num_edges(&self) -> usize {
+        self.m
+    }
+
+    /// Degree of node `u`.
+    #[inline]
+    pub fn degree(&self, u: Node) -> usize {
+        debug_assert!(self.built, "query before build");
+        self.row_len[u as usize] as usize
+    }
+
+    /// Returns `true` if `{u, v}` is an edge. Scans the shorter of the two
+    /// neighbor lists (the sparse edge engine calls this per birth
+    /// candidate).
+    pub fn has_edge(&self, u: Node, v: Node) -> bool {
+        let (a, b) = if self.degree(u) <= self.degree(v) {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        self.neighbors(a).contains(&b)
     }
 
     /// Borrows the live neighbor slice of `u` (valid after `build`).
@@ -409,29 +415,6 @@ impl SnapshotBuf {
         out
     }
 
-    /// Copies the snapshot into a fresh [`AdjacencyList`]
-    /// (test/interop helper — allocates). While the staged edge stream still
-    /// mirrors the live edge set it is replayed so per-node neighbor order is
-    /// preserved; after in-place deltas the rows are walked directly instead.
-    pub fn to_adjacency(&self) -> AdjacencyList {
-        debug_assert!(self.built, "query before build");
-        let mut g = AdjacencyList::new(self.n);
-        if self.staging_valid {
-            for &(u, v) in &self.edges {
-                g.add_edge_unchecked(u, v);
-            }
-        } else {
-            for u in 0..self.n as Node {
-                for &v in self.neighbors(u) {
-                    if u < v {
-                        g.add_edge_unchecked(u, v);
-                    }
-                }
-            }
-        }
-        g
-    }
-
     /// Capacity snapshot `(edges, deg, offsets, targets)` — lets tests assert
     /// the no-allocation-after-warm-up invariant without a custom allocator.
     pub fn capacities(&self) -> (usize, usize, usize, usize) {
@@ -444,47 +427,9 @@ impl SnapshotBuf {
     }
 }
 
-impl Graph for SnapshotBuf {
-    fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    fn num_edges(&self) -> usize {
-        self.m
-    }
-
-    fn for_each_neighbor(&self, u: Node, f: &mut dyn FnMut(Node)) {
-        for &v in self.neighbors(u) {
-            f(v);
-        }
-    }
-
-    fn degree(&self, u: Node) -> usize {
-        debug_assert!(self.built, "query before build");
-        self.row_len[u as usize] as usize
-    }
-
-    fn has_edge(&self, u: Node, v: Node) -> bool {
-        // Scan the shorter of the two neighbor lists (same trick as
-        // `AdjacencyList::has_edge`; the sparse edge engine calls this per
-        // birth candidate).
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.neighbors(a).contains(&b)
-    }
-
-    fn neighbor_slice(&self, u: Node) -> Option<&[Node]> {
-        Some(self.neighbors(u))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -501,11 +446,11 @@ mod tests {
         // Neighbor order = push order of incident edges.
         assert_eq!(buf.neighbors(1), &[0, 4, 2]);
         assert_eq!(buf.neighbors(2), &[3, 1]);
-        assert_eq!(Graph::degree(&buf, 1), 3);
+        assert_eq!(buf.degree(1), 3);
+        assert_eq!(buf.degree(0), 1);
         assert!(buf.has_edge(2, 3) && buf.has_edge(3, 2));
         assert!(!buf.has_edge(0, 4));
         assert_eq!(buf.edges(), vec![(0, 1), (1, 4), (1, 2), (2, 3)]);
-        assert_eq!(buf.neighbor_slice(1), Some(&[0, 4, 2][..]));
     }
 
     #[test]
@@ -554,56 +499,100 @@ mod tests {
     #[test]
     fn matches_adjacency_list_for_random_edge_streams() {
         // The CSR construction must be edge-set- and neighbor-order-identical
-        // to pushing the same stream into an AdjacencyList.
+        // to appending each pushed edge to per-node neighbor lists, and
+        // `from_edges` on the raw stream (self-loops and repeats included)
+        // must equal pushing its first occurrences.
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut buf = SnapshotBuf::new();
         for trial in 0..60 {
             let n = rng.gen_range(2..40usize);
-            let mut adj = AdjacencyList::new(n);
+            let mut adj: Vec<Vec<Node>> = vec![Vec::new(); n];
+            let mut raw = Vec::new();
+            let mut pushed = Vec::new();
             buf.begin(n);
-            let mut pushed = std::collections::BTreeSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for _ in 0..rng.gen_range(0..80) {
                 let u = rng.gen_range(0..n) as Node;
                 let v = rng.gen_range(0..n) as Node;
-                let (a, b) = (u.min(v), u.max(v));
-                if a == b || !pushed.insert((a, b)) {
+                raw.push((u, v));
+                if u == v || !seen.insert((u.min(v), u.max(v))) {
                     continue;
                 }
-                adj.add_edge_unchecked(a, b);
-                buf.push_edge(a, b);
+                adj[u as usize].push(v);
+                adj[v as usize].push(u);
+                pushed.push((u.min(v), u.max(v)));
+                buf.push_edge(u, v);
             }
             buf.build();
-            assert_eq!(buf.num_edges(), adj.num_edges(), "trial {trial}");
+            let from_raw = SnapshotBuf::from_edges(n, raw);
+            assert_eq!(buf.num_edges(), pushed.len(), "trial {trial}");
+            assert_eq!(from_raw.num_edges(), pushed.len(), "trial {trial}");
             for u in 0..n as Node {
-                assert_eq!(buf.neighbors(u), adj.neighbors(u), "trial {trial} node {u}");
+                assert_eq!(
+                    buf.neighbors(u),
+                    &adj[u as usize][..],
+                    "trial {trial} node {u}"
+                );
+                assert_eq!(
+                    from_raw.neighbors(u),
+                    buf.neighbors(u),
+                    "trial {trial} node {u}"
+                );
+                assert_eq!(buf.degree(u), adj[u as usize].len());
             }
-            assert_eq!(buf.edges(), adj.edges(), "trial {trial}");
-            let back = buf.to_adjacency();
-            assert_eq!(back.edges(), adj.edges(), "trial {trial} round-trip");
+            pushed.sort_unstable();
+            let mut listed = buf.edges();
+            listed.sort_unstable();
+            assert_eq!(listed, pushed, "trial {trial}");
         }
     }
 
     #[test]
-    fn copy_from_adjacency_preserves_neighbor_order() {
-        let mut g = AdjacencyList::new(5);
-        // Deliberately scrambled insertion order.
-        g.add_edge(3, 1);
-        g.add_edge(1, 0);
-        g.add_edge(4, 1);
-        let mut buf = SnapshotBuf::new();
-        buf.copy_from_adjacency(&g);
-        assert_eq!(buf.num_edges(), 3);
-        for u in 0..5u32 {
-            assert_eq!(buf.neighbors(u), g.neighbors(u), "node {u}");
+    fn from_edges_ignores_junk() {
+        let g = SnapshotBuf::from_edges(3, [(0, 0), (0, 1), (1, 0), (0, 1), (2, 2)]);
+        assert_eq!(g.num_nodes(), 3);
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.degree(1), 1);
+        assert!(g.has_edge(1, 0));
+        assert!(!g.has_edge(1, 2));
+    }
+
+    #[test]
+    fn from_edges_keeps_first_occurrence_order() {
+        // Scrambled orientations: each row lists neighbors in the order of
+        // the first edges incident to it.
+        let g = SnapshotBuf::from_edges(5, [(3, 1), (1, 0), (4, 1)]);
+        assert_eq!(g.neighbors(1), &[3, 0, 4]);
+        assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(g.edges(), vec![(0, 1), (1, 3), (1, 4)]);
+        // A repeat keeps the first occurrence's slot.
+        let edges = [(0, 1), (1, 0), (0, 1), (2, 2), (1, 2), (2, 1)];
+        let g = SnapshotBuf::from_edges(3, edges);
+        assert_eq!(g.num_edges(), 2);
+        assert_eq!(g.neighbors(1), &[0, 2], "first occurrence wins");
+        assert!(!g.has_edge(0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_edges_rejects_out_of_range_endpoints() {
+        SnapshotBuf::from_edges(3, [(0, 1), (1, 3)]);
+    }
+
+    #[test]
+    fn from_edges_handles_empty_and_one_node_graphs() {
+        for n in [0usize, 1, 4] {
+            let g = SnapshotBuf::from_edges(n, []);
+            assert_eq!(g.num_nodes(), n);
+            assert_eq!(g.num_edges(), 0);
+            assert!(g.edges().is_empty());
+            for u in 0..n as Node {
+                assert!(g.neighbors(u).is_empty());
+                assert_eq!(g.degree(u), 0);
+            }
         }
-        // Reuse for a different graph.
-        let h = generators::cycle(7);
-        buf.copy_from_adjacency(&h);
-        assert_eq!(buf.num_nodes(), 7);
-        assert_eq!(buf.num_edges(), 7);
-        for u in 0..7u32 {
-            assert_eq!(buf.neighbors(u), h.neighbors(u), "node {u}");
-        }
+        let loop_only = SnapshotBuf::from_edges(1, [(0, 0)]);
+        assert_eq!(loop_only.num_edges(), 0);
     }
 
     fn sorted_rows(buf: &SnapshotBuf) -> Vec<Vec<Node>> {
@@ -631,7 +620,7 @@ mod tests {
         assert_eq!(plain.num_edges(), slacked.num_edges());
         for u in 0..6u32 {
             assert_eq!(plain.neighbors(u), slacked.neighbors(u), "node {u}");
-            assert_eq!(Graph::degree(&plain, u), Graph::degree(&slacked, u));
+            assert_eq!(plain.degree(u), slacked.degree(u));
         }
         assert_eq!(plain.edges(), slacked.edges());
     }
@@ -666,10 +655,7 @@ mod tests {
             sorted_rows(&buf),
             vec![vec![1, 2, 3, 4], vec![0], vec![0], vec![0, 4], vec![0, 3]]
         );
-        // The adjacency interop path must reflect the delta-edited rows.
-        let g = buf.to_adjacency();
-        assert_eq!(g.num_edges(), 5);
-        assert!(g.has_edge(0, 4));
+        assert!(buf.has_edge(0, 4) && buf.has_edge(4, 0));
     }
 
     #[test]

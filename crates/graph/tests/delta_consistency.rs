@@ -8,7 +8,7 @@
 //! (Within-row neighbor order is explicitly not part of the contract:
 //! deaths swap-remove within the live prefix, so rows are compared sorted.)
 
-use meg_graph::{Graph, Node, SnapshotBuf};
+use meg_graph::{Node, SnapshotBuf};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 

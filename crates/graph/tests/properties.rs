@@ -1,6 +1,6 @@
 //! Property-based tests for the static-graph substrate.
 
-use meg_graph::{bfs, connectivity, diameter, expansion, generators, AdjacencyList, Csr, Graph};
+use meg_graph::{bfs, connectivity, diameter, expansion, generators, SnapshotBuf};
 use proptest::prelude::*;
 
 fn edges_strategy(max_n: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -14,31 +14,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn csr_and_adjacency_agree((n, edges) in edges_strategy(60)) {
-        let adj = AdjacencyList::from_edges(n, edges);
-        let csr = Csr::from_adjacency(&adj);
-        prop_assert_eq!(adj.num_nodes(), csr.num_nodes());
-        prop_assert_eq!(adj.num_edges(), csr.num_edges());
-        for u in 0..n as u32 {
-            prop_assert_eq!(Graph::degree(&adj, u), Graph::degree(&csr, u));
-            let mut a = adj.neighbors_vec(u);
-            let mut c = csr.neighbors_vec(u);
-            a.sort_unstable();
-            c.sort_unstable();
-            prop_assert_eq!(a, c);
-        }
-    }
-
-    #[test]
     fn handshake_lemma_holds((n, edges) in edges_strategy(80)) {
-        let g = AdjacencyList::from_edges(n, edges);
+        let g = SnapshotBuf::from_edges(n, edges);
         let degree_sum: usize = (0..n as u32).map(|u| g.degree(u)).sum();
         prop_assert_eq!(degree_sum, 2 * g.num_edges());
     }
 
     #[test]
     fn bfs_distances_satisfy_triangle_like_step((n, edges) in edges_strategy(50), s in 0u32..50) {
-        let g = AdjacencyList::from_edges(n, edges);
+        let g = SnapshotBuf::from_edges(n, edges);
         let s = s % n as u32;
         let dist = bfs::distances(&g, s);
         prop_assert_eq!(dist[s as usize], 0);
@@ -55,7 +39,7 @@ proptest! {
 
     #[test]
     fn components_partition_the_nodes((n, edges) in edges_strategy(60)) {
-        let g = AdjacencyList::from_edges(n, edges);
+        let g = SnapshotBuf::from_edges(n, edges);
         let comps = connectivity::connected_components(&g);
         prop_assert_eq!(comps.labels.len(), n);
         prop_assert_eq!(comps.sizes.iter().sum::<usize>(), n);
@@ -68,7 +52,7 @@ proptest! {
 
     #[test]
     fn double_sweep_bounds_exact_diameter((n, edges) in edges_strategy(40), s in 0u32..40) {
-        let g = AdjacencyList::from_edges(n, edges);
+        let g = SnapshotBuf::from_edges(n, edges);
         let s = s % n as u32;
         match (diameter::exact(&g), diameter::double_sweep_lower_bound(&g, s)) {
             (diameter::Diameter::Finite(exact), diameter::Diameter::Finite(lower)) => {
@@ -97,7 +81,7 @@ proptest! {
     #[test]
     fn expansion_ratio_of_half_the_nodes_is_bounded_by_one((n, edges) in edges_strategy(30)) {
         // |N(I)| ≤ n − |I|, so for |I| = ⌈n/2⌉ the ratio is at most ~1.
-        let g = AdjacencyList::from_edges(n, edges);
+        let g = SnapshotBuf::from_edges(n, edges);
         let h = n.div_ceil(2);
         let set = meg_graph::NodeSet::from_iter(n, 0..h as u32);
         let ratio = expansion::expansion_ratio(&g, &set);
@@ -106,7 +90,7 @@ proptest! {
 
     #[test]
     fn bfs_ball_is_connected_and_has_requested_size((n, edges) in edges_strategy(40), seed in 0u32..40, target in 1usize..20) {
-        let g = AdjacencyList::from_edges(n, edges);
+        let g = SnapshotBuf::from_edges(n, edges);
         let seed_node = seed % n as u32;
         let ball = expansion::bfs_ball(&g, seed_node, target);
         prop_assert!(ball.contains(seed_node));

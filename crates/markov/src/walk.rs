@@ -6,34 +6,34 @@
 //! so the walk is lazy). The stationary law is `π(x) ∝ |Γ(x)|` — proportional
 //! to the closed neighborhood size.
 //!
-//! This module implements the same walk over an arbitrary support
-//! [`Graph`], in both the lazy (self-move allowed) and
+//! This module implements the same walk over an arbitrary support graph (a
+//! [`SnapshotBuf`]), in both the lazy (self-move allowed) and
 //! non-lazy variants, together with exact stationary laws and stationary
 //! sampling. `meg-mobility` specialises it to the grid geometry without going
 //! through an explicit graph (the grid is too large to materialise for big
 //! `n`), and the small-instance tests here are what validate that
 //! specialisation.
 
-use meg_graph::{Graph, Node};
+use meg_graph::{Node, SnapshotBuf};
 use rand::Rng;
 
 /// A random walk over the vertices of a support graph.
 #[derive(Clone, Debug)]
-pub struct SupportWalk<'a, G: Graph> {
-    graph: &'a G,
+pub struct SupportWalk<'a> {
+    graph: &'a SnapshotBuf,
     lazy: bool,
 }
 
-impl<'a, G: Graph> SupportWalk<'a, G> {
+impl<'a> SupportWalk<'a> {
     /// A lazy walk: from `x` the next position is uniform over `{x} ∪ N(x)`
     /// (the paper's move rule, since `Γ(x)` contains `x`).
-    pub fn lazy(graph: &'a G) -> Self {
+    pub fn lazy(graph: &'a SnapshotBuf) -> Self {
         SupportWalk { graph, lazy: true }
     }
 
     /// A non-lazy walk: the next position is uniform over `N(x)`; staying put
     /// is impossible unless `x` is isolated.
-    pub fn non_lazy(graph: &'a G) -> Self {
+    pub fn non_lazy(graph: &'a SnapshotBuf) -> Self {
         SupportWalk { graph, lazy: false }
     }
 
@@ -58,16 +58,7 @@ impl<'a, G: Graph> SupportWalk<'a, G> {
         if self.lazy && idx == total - 1 {
             return x;
         }
-        // Pick the idx-th neighbor.
-        let mut i = 0usize;
-        let mut chosen = x;
-        self.graph.for_each_neighbor(x, &mut |v| {
-            if i == idx {
-                chosen = v;
-            }
-            i += 1;
-        });
-        chosen
+        self.graph.neighbors(x)[idx]
     }
 
     /// Exact stationary distribution: `π(x) ∝ candidate_count(x)`.
@@ -112,9 +103,9 @@ impl<'a, G: Graph> SupportWalk<'a, G> {
             if self.lazy {
                 rows[x as usize][x as usize] += p;
             }
-            self.graph.for_each_neighbor(x, &mut |v| {
+            for &v in self.graph.neighbors(x) {
                 rows[x as usize][v as usize] += p;
-            });
+            }
         }
         crate::DenseChain::from_rows(rows).expect("walk matrix is stochastic")
     }
@@ -197,7 +188,7 @@ mod tests {
         for _ in 0..200 {
             assert_ne!(w.step(2, &mut rng), 2);
         }
-        let isolated = meg_graph::AdjacencyList::new(3);
+        let isolated = meg_graph::SnapshotBuf::with_nodes(3);
         let wi = SupportWalk::non_lazy(&isolated);
         assert_eq!(wi.step(1, &mut rng), 1);
     }

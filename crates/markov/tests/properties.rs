@@ -98,7 +98,6 @@ proptest! {
 
     #[test]
     fn support_walk_steps_stay_on_neighbors(nodes in 3usize..12, steps in 1usize..30, seed in 0u64..100) {
-        use meg_graph::Graph;
         use rand::SeedableRng;
         let g = generators::cycle(nodes);
         let walk = SupportWalk::lazy(&g);

@@ -67,7 +67,7 @@ pub mod prelude {
         builtin, run_scenario, OutputFormat, Param, Protocol, Scenario, Substrate, Sweep,
     };
     pub use meg_geometric::{GeometricMeg, GeometricMegParams};
-    pub use meg_graph::{AdjacencyList, Csr, Graph, Node, NodeSet};
+    pub use meg_graph::{Node, NodeSet, SnapshotBuf};
     pub use meg_markov::TwoStateChain;
     pub use meg_mobility::{Billiard, GridWalk, Mobility, RandomWaypoint, TorusWalkers};
     pub use meg_stats::{ConfidenceInterval, Summary, Table};

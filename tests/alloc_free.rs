@@ -70,7 +70,6 @@ fn advance_is_allocation_free_after_warmup_on_dense_and_geometric_paths() {
     use meg::core::evolving::EvolvingGraph;
     use meg::edge::{DenseEdgeMeg, EdgeMegParams};
     use meg::geometric::{GeometricMeg, GeometricMegParams};
-    use meg::graph::Graph;
 
     // --- dense edge-MEG ---------------------------------------------------
     let params = EdgeMegParams::with_stationary(256, 0.08, 0.4);

@@ -3,8 +3,8 @@
 //! measured flooding), stationarity preservation, and regime classification.
 
 use meg::core::analysis::{measure_expansion_sequence, ExpansionMeasurement};
+use meg::graph::degree;
 use meg::graph::expansion::SamplingStrategy;
-use meg::graph::{degree, Graph};
 use meg::prelude::*;
 
 #[test]
@@ -150,7 +150,7 @@ fn static_snapshot_flooding_matches_dynamic_flooding_when_mobility_is_frozen() {
         resolution: 1.0,
     };
     let mut meg = GeometricMeg::from_params(params, 21);
-    let first_snapshot = meg.current_snapshot().to_adjacency();
+    let first_snapshot = meg.current_snapshot().clone();
     let static_time = flood_static(&first_snapshot, 0).flooding_time();
     let dynamic_time = flood(&mut meg, 0, 100_000).flooding_time();
     assert_eq!(static_time, dynamic_time);

@@ -4,7 +4,7 @@
 //! stationary law, and the pair-index bijection used by the sparse engines.
 
 use meg::core::expansion::ExpanderSequence;
-use meg::graph::{bfs, generators, AdjacencyList, Graph, NodeSet};
+use meg::graph::{bfs, generators, NodeSet, SnapshotBuf};
 use meg::prelude::*;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -67,7 +67,7 @@ proptest! {
 
     #[test]
     fn static_flooding_equals_bfs_eccentricity((n, edges) in edges_strategy(40), source_raw in 0u32..40) {
-        let g = AdjacencyList::from_edges(n, edges);
+        let g = SnapshotBuf::from_edges(n, edges);
         let source = source_raw % n as u32;
         let result = flood_static(&g, source);
         let distances = bfs::distances(&g, source);
@@ -187,13 +187,13 @@ proptest! {
         (n, edges) in edges_strategy(50),
         members in proptest::collection::vec(0u32..50, 1..20),
     ) {
-        let g = AdjacencyList::from_edges(n, edges);
+        let g = SnapshotBuf::from_edges(n, edges);
         let set = NodeSet::from_iter(n, members.into_iter().map(|m| m % n as u32));
         let nb = meg::graph::out_neighborhood(&g, &set);
         prop_assert_eq!(nb.intersection_len(&set), 0);
         // every reported neighbor really has an edge into the set
         for v in nb.iter() {
-            let touches = g.neighbors_vec(v).iter().any(|&u| set.contains(u));
+            let touches = g.neighbors(v).iter().any(|&u| set.contains(u));
             prop_assert!(touches);
         }
     }
