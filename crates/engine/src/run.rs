@@ -768,26 +768,26 @@ fn geometric_occupancy_trial(
     rng: &mut ChaCha8Rng,
 ) -> TrialOutcome {
     use meg_geometric::cells::CellPartition;
-    use meg_geometric::snapshot::{sample_paper_snapshot, snapshot_of};
+    use meg_mobility::Mobility;
+    // Only the stationary positions matter; no radius graph is built.
     let side = (n as f64).sqrt();
-    let snap = match mobility {
-        MobilityKind::GridWalk => {
-            sample_paper_snapshot(GeometricMegParams::new(n, move_radius, radius), rng)
-        }
-        MobilityKind::Waypoint => snapshot_of(
-            &RandomWaypoint::new(n, side, move_radius * 0.5, move_radius, rng),
-            radius,
-        ),
-        MobilityKind::Billiard => snapshot_of(
-            &Billiard::new(n, side, move_radius * 0.5, move_radius, 0.1, rng),
-            radius,
-        ),
-        MobilityKind::Walkers => {
-            snapshot_of(&TorusWalkers::new(n, side, move_radius, 1.0, rng), radius)
-        }
+    let positions = match mobility {
+        MobilityKind::GridWalk => GeometricMegParams::new(n, move_radius, radius)
+            .grid_walk(rng)
+            .positions()
+            .to_vec(),
+        MobilityKind::Waypoint => RandomWaypoint::new(n, side, move_radius * 0.5, move_radius, rng)
+            .positions()
+            .to_vec(),
+        MobilityKind::Billiard => Billiard::new(n, side, move_radius * 0.5, move_radius, 0.1, rng)
+            .positions()
+            .to_vec(),
+        MobilityKind::Walkers => TorusWalkers::new(n, side, move_radius, 1.0, rng)
+            .positions()
+            .to_vec(),
     };
     let partition = CellPartition::for_paper_instance(n, radius);
-    match partition.occupancy_concentration(&snap.positions, radius) {
+    match partition.occupancy_concentration(&positions, radius) {
         Some(lambda) => TrialOutcome::measured(lambda),
         None => TrialOutcome::failed(), // an empty cell: λ is unbounded
     }

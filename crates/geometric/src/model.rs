@@ -6,7 +6,7 @@ use meg_graph::SnapshotBuf;
 use meg_mobility::grid_walk::{GridWalk, GridWalkParams};
 use meg_mobility::{Mobility, Region};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Parameters of the paper's canonical geometric-MEG
 /// `G(n, r, R, ε)` (Section 3): density-1 square of side `√n`, grid-walk
@@ -38,6 +38,20 @@ impl GeometricMegParams {
     /// Side of the support square (`√n` at density 1).
     pub fn side(&self) -> f64 {
         (self.n as f64).sqrt()
+    }
+
+    /// The model's grid-walk mobility, positions drawn from its stationary
+    /// law.
+    pub fn grid_walk<R: Rng>(&self, rng: &mut R) -> GridWalk {
+        GridWalk::new(
+            GridWalkParams {
+                n: self.n,
+                side: self.side(),
+                move_radius: self.move_radius,
+                resolution: self.resolution,
+            },
+            rng,
+        )
     }
 }
 
@@ -124,15 +138,7 @@ impl GeometricMeg<GridWalk> {
             "the paper requires ε < R"
         );
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-        let walk = GridWalk::new(
-            GridWalkParams {
-                n: params.n,
-                side: params.side(),
-                move_radius: params.move_radius,
-                resolution: params.resolution,
-            },
-            &mut rng,
-        );
+        let walk = params.grid_walk(&mut rng);
         GeometricMeg::new(walk, params.transmission_radius, seed)
     }
 }

@@ -9,7 +9,6 @@
 use crate::model::GeometricMegParams;
 use crate::radius_graph::radius_graph;
 use meg_graph::SnapshotBuf;
-use meg_mobility::grid_walk::{GridWalk, GridWalkParams};
 use meg_mobility::space::Point;
 use meg_mobility::Mobility;
 use rand::Rng;
@@ -29,16 +28,7 @@ pub fn sample_paper_snapshot<R: Rng>(
     params: GeometricMegParams,
     rng: &mut R,
 ) -> StationarySnapshot {
-    let walk = GridWalk::new(
-        GridWalkParams {
-            n: params.n,
-            side: params.side(),
-            move_radius: params.move_radius,
-            resolution: params.resolution,
-        },
-        rng,
-    );
-    snapshot_of(&walk, params.transmission_radius)
+    snapshot_of(&params.grid_walk(rng), params.transmission_radius)
 }
 
 /// Builds the snapshot induced by the *current* positions of any mobility
