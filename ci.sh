@@ -63,6 +63,11 @@ cargo clippy -q --workspace --all-targets --offline -- -D warnings
 step "cargo build"
 cargo build --workspace --offline
 
+step "cargo check sweepbench (its own workspace, so the build above skips it)"
+# --locked fails if an API or dependency change would rewrite
+# sweepbench/Cargo.lock, instead of leaving that to the benchmark run.
+cargo check --offline --locked --manifest-path sweepbench/Cargo.toml
+
 if [ "$MODE" != "quick" ]; then
     step "cargo build --release (tier-1)"
     cargo build --release --workspace --offline
