@@ -14,6 +14,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
+    fn from_edges_matches_a_per_node_reference((n, edges) in edges_strategy(60)) {
+        // Reference: per-node neighbor lists fed the first occurrence of
+        // every non-loop edge, in input order.
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for &(u, v) in &edges {
+            if u != v && !rows[u as usize].contains(&v) {
+                rows[u as usize].push(v);
+                rows[v as usize].push(u);
+            }
+        }
+        let g = SnapshotBuf::from_edges(n, edges);
+        prop_assert_eq!(g.num_nodes(), n);
+        prop_assert_eq!(g.num_edges(), rows.iter().map(Vec::len).sum::<usize>() / 2);
+        for u in 0..n as u32 {
+            prop_assert_eq!(g.neighbors(u), &rows[u as usize][..]);
+            prop_assert_eq!(g.degree(u), rows[u as usize].len());
+            for &v in &rows[u as usize] {
+                prop_assert!(g.has_edge(u, v) && g.has_edge(v, u));
+            }
+        }
+    }
+
+    #[test]
     fn handshake_lemma_holds((n, edges) in edges_strategy(80)) {
         let g = SnapshotBuf::from_edges(n, edges);
         let degree_sum: usize = (0..n as u32).map(|u| g.degree(u)).sum();
