@@ -400,8 +400,7 @@ impl SnapshotBuf {
     }
 
     /// Returns every edge `{u, v}` with `u < v`, in CSR row order
-    /// (allocates; intended for tests and one-shot freezes, not the hot
-    /// path).
+    /// (allocates; intended for tests, not the hot path).
     pub fn edges(&self) -> Vec<(Node, Node)> {
         debug_assert!(self.built, "query before build");
         let mut out = Vec::with_capacity(self.num_edges());
@@ -499,51 +498,37 @@ mod tests {
     #[test]
     fn matches_adjacency_list_for_random_edge_streams() {
         // The CSR construction must be edge-set- and neighbor-order-identical
-        // to appending each pushed edge to per-node neighbor lists, and
-        // `from_edges` on the raw stream (self-loops and repeats included)
-        // must equal pushing its first occurrences.
+        // to appending each pushed edge to per-node neighbor lists.
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut buf = SnapshotBuf::new();
         for trial in 0..60 {
             let n = rng.gen_range(2..40usize);
             let mut adj: Vec<Vec<Node>> = vec![Vec::new(); n];
-            let mut raw = Vec::new();
-            let mut pushed = Vec::new();
+            let mut pushed = std::collections::BTreeSet::new();
             buf.begin(n);
-            let mut seen = std::collections::BTreeSet::new();
             for _ in 0..rng.gen_range(0..80) {
                 let u = rng.gen_range(0..n) as Node;
                 let v = rng.gen_range(0..n) as Node;
-                raw.push((u, v));
-                if u == v || !seen.insert((u.min(v), u.max(v))) {
+                if u == v || !pushed.insert((u.min(v), u.max(v))) {
                     continue;
                 }
                 adj[u as usize].push(v);
                 adj[v as usize].push(u);
-                pushed.push((u.min(v), u.max(v)));
                 buf.push_edge(u, v);
             }
             buf.build();
-            let from_raw = SnapshotBuf::from_edges(n, raw);
             assert_eq!(buf.num_edges(), pushed.len(), "trial {trial}");
-            assert_eq!(from_raw.num_edges(), pushed.len(), "trial {trial}");
             for u in 0..n as Node {
                 assert_eq!(
                     buf.neighbors(u),
                     &adj[u as usize][..],
                     "trial {trial} node {u}"
                 );
-                assert_eq!(
-                    from_raw.neighbors(u),
-                    buf.neighbors(u),
-                    "trial {trial} node {u}"
-                );
                 assert_eq!(buf.degree(u), adj[u as usize].len());
             }
-            pushed.sort_unstable();
             let mut listed = buf.edges();
             listed.sort_unstable();
-            assert_eq!(listed, pushed, "trial {trial}");
+            assert!(listed.iter().eq(pushed.iter()), "trial {trial}");
         }
     }
 
