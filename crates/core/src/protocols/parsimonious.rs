@@ -181,7 +181,7 @@ mod tests {
     use super::*;
     use crate::evolving::{FrozenGraph, ScheduledGraph};
     use crate::flooding::flood_static;
-    use meg_graph::{generators, SnapshotBuf};
+    use meg_graph::generators;
 
     #[test]
     fn on_static_graphs_it_matches_plain_flooding() {

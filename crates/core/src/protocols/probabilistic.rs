@@ -201,7 +201,7 @@ mod tests {
     use super::*;
     use crate::evolving::{FrozenGraph, ScheduledGraph};
     use crate::flooding::flood_static;
-    use meg_graph::{generators, SnapshotBuf};
+    use meg_graph::generators;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -111,7 +111,7 @@ where
 mod tests {
     use super::*;
     use crate::evolving::FrozenGraph;
-    use meg_graph::{generators, SnapshotBuf};
+    use meg_graph::generators;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
