@@ -769,7 +769,7 @@ fn geometric_occupancy_trial(
 ) -> TrialOutcome {
     use meg_geometric::cells::CellPartition;
     use meg_mobility::Mobility;
-    // Only the stationary positions matter; no radius graph is built.
+    // The probe reads only the stationary positions.
     let side = (n as f64).sqrt();
     let positions = match mobility {
         MobilityKind::GridWalk => GeometricMegParams::new(n, move_radius, radius)
