@@ -248,23 +248,39 @@ print("bench-smoke golden: edge_sparse_flood_n16384 checksum 4924 ok")
 PYEOF
     rm -rf "$BENCH_DIR"
 
-    step "bench baseline gate smoke (--baseline BENCH_PR8.json on one workload)"
-    # Full-scale single workload (~0.3 s): the checksum must equal the
-    # committed PR 8 record exactly, and the median must stay within a loose
-    # ratio (this box is 1-core and noisy; docs/PERF.md has the honest A/B
-    # procedure — this smoke asserts the gate *mechanism*, not peak perf).
+    step "bench baseline gate smoke (--baseline on one workload)"
+    # Full-scale single workload (~0.3 s). This smoke asserts the gate
+    # *mechanism*, not peak perf (docs/PERF.md has the honest A/B
+    # procedure), so the baseline is recorded here by the same binary on the
+    # same machine: a median committed from another machine would make the
+    # pass path depend on the hardware. The behaviour stays pinned across
+    # changes through the checksum, which must equal BENCH_PR8.json's record.
+    GATE_DIR=$(mktemp -d)
     cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
         bench geo_flood_n4096 --repetitions 3 --warmup 1 \
-        --baseline BENCH_PR8.json --baseline-threshold 1.5 > /dev/null
+        --out "$GATE_DIR/base.json" > /dev/null
+    python3 - "$GATE_DIR/base.json" BENCH_PR8.json <<'PYEOF'
+import json, sys
+fresh = {r["bench"]: r for r in json.load(open(sys.argv[1]))["results"]}
+pinned = {e["workload"]: e for e in json.load(open(sys.argv[2]))["entries"]}
+got, want = fresh["geo_flood_n4096"]["checksum"], pinned["geo_flood_n4096"]["checksum"]
+assert want == 12312 and got == want, f"geo_flood_n4096 checksum {got} != {want}"
+print(f"baseline gate: geo_flood_n4096 checksum {got} matches BENCH_PR8.json")
+PYEOF
+    cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
+        bench geo_flood_n4096 --repetitions 3 --warmup 1 \
+        --baseline "$GATE_DIR/base.json" --baseline-threshold 1.5 > /dev/null
     # The gate must also *fail* correctly: an absurd threshold flags the
     # workload and exits 4.
     if cargo run -q --release --offline -p meg-engine --bin meg-lab -- \
         bench geo_flood_n4096 --repetitions 2 --warmup 1 \
-        --baseline BENCH_PR8.json --baseline-threshold 0.001 \
+        --baseline "$GATE_DIR/base.json" --baseline-threshold 0.001 \
         > /dev/null 2>&1; then
         echo "baseline gate failed to flag a regression at threshold 0.001" >&2
+        rm -rf "$GATE_DIR"
         exit 1
     fi
+    rm -rf "$GATE_DIR"
     echo "baseline gate: pass path clean, regression path exits nonzero"
 
     step "metrics-smoke (--metrics report: counters live, stdout untouched)"

@@ -52,7 +52,7 @@ impl RotatingStar {
     /// at round `t` the only uninformed neighbor of the informed set is the
     /// current centre `c_t`, so exactly one node is informed per round until
     /// the last leaf joins at round `n − 1`.
-    pub fn predicted_worst_flooding_time(&self) -> u64 {
+    pub fn predicted_worst_completion_time(&self) -> u64 {
         (self.n - 1) as u64
     }
 
@@ -160,7 +160,7 @@ impl EvolvingGraph for RotatingBridge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flooding::{flood, FloodingOutcome};
+    use crate::flooding::flood;
     use meg_graph::diameter;
 
     #[test]
@@ -179,10 +179,10 @@ mod tests {
         for n in [8usize, 16, 33] {
             let mut rs = RotatingStar::new(n, 0);
             let source = rs.worst_source();
-            let predicted = rs.predicted_worst_flooding_time();
+            let predicted = rs.predicted_worst_completion_time();
             let r = flood(&mut rs, source, 4 * n as u64);
-            assert_eq!(r.outcome, FloodingOutcome::Completed, "n={n}");
-            assert_eq!(r.flooding_time(), Some(predicted), "n={n}");
+            assert!(r.completed, "n={n}");
+            assert_eq!(r.completion_time(), Some(predicted), "n={n}");
         }
     }
 
@@ -191,7 +191,7 @@ mod tests {
         // Sourcing at the very first centre informs everyone in one round.
         let mut rs = RotatingStar::new(20, 0);
         let r = flood(&mut rs, 0, 100);
-        assert_eq!(r.flooding_time(), Some(1));
+        assert_eq!(r.completion_time(), Some(1));
     }
 
     #[test]
@@ -216,7 +216,7 @@ mod tests {
         assert_eq!(diameter::exact(&g).finite(), Some(3));
         let mut rb2 = RotatingBridge::new(40);
         let r = flood(&mut rb2, 1, 100);
-        assert!(r.flooding_time().unwrap() <= 4);
+        assert!(r.completion_time().unwrap() <= 4);
     }
 
     #[test]

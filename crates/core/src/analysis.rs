@@ -99,7 +99,7 @@ mod tests {
             measure_expansion_sequence(&mut frozen, ExpansionMeasurement::default(), &mut rng)
                 .unwrap();
         let bound = seq.flooding_bound();
-        let measured = flood_static(&g, 0).flooding_time().unwrap() as f64;
+        let measured = flood_static(&g, 0).completion_time().unwrap() as f64;
         assert!(
             bound >= measured,
             "Lemma 2.4 bound {bound} must dominate measured flooding {measured}"
@@ -123,7 +123,7 @@ mod tests {
         // Source near the centre of the grid (the bound is a worst-case-source
         // statement only when fed the exact worst-case expansion; the sampled
         // profile is an estimate, so compare against a typical source).
-        let measured = flood_static(&g, 27).flooding_time().unwrap() as f64;
+        let measured = flood_static(&g, 27).completion_time().unwrap() as f64;
         assert!(bound >= measured, "bound {bound} vs measured {measured}");
     }
 

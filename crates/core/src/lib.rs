@@ -39,7 +39,7 @@
 //! // A 6-cycle: flooding from any source needs exactly ⌈6/2⌉ = 3 rounds.
 //! let g = SnapshotBuf::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
 //! let result = flood_static(&g, 0);
-//! assert_eq!(result.flooding_time(), Some(3));
+//! assert_eq!(result.completion_time(), Some(3));
 //!
 //! // Every size-h subset of a cycle has at least 2 outside neighbors … use
 //! // the trivial expansion k(h) = 1 as a valid (weaker) expander sequence.
@@ -61,4 +61,4 @@ pub mod spec;
 
 pub use evolving::{EvolvingGraph, FrozenGraph, InitialDistribution, Stepping};
 pub use expansion::ExpanderSequence;
-pub use flooding::{flood, flood_static, FloodingOutcome, FloodingResult};
+pub use flooding::{flood, flood_static};

@@ -194,7 +194,7 @@ mod tests {
             let mut meg = FrozenGraph::new(g);
             let pars = parsimonious_flood(&mut meg, 0, 1, 200);
             assert!(pars.completed);
-            assert_eq!(Some(pars.rounds), plain.flooding_time());
+            assert_eq!(Some(pars.rounds), plain.completion_time());
             assert_eq!(pars.informed_per_round, plain.informed_per_round);
         }
     }

@@ -32,12 +32,28 @@ impl NodeState for FloodState {
     }
 }
 
-/// The (probabilistic) flooding machine.
+/// The (probabilistic) flooding machine — the workspace's one flooding
+/// kernel: [`flood`](crate::flooding::flood), every engine row and every
+/// benchmark run through its [`step`](ProtocolMachine::step).
 ///
 /// Each round every informed node broadcasts to its whole current
 /// neighborhood with probability β (always, when β = 1 — in which case the
 /// machine draws **no** randomness, byte-compatible with the historical
 /// plain-flooding path). Completion: every node informed.
+///
+/// Because the topology changes every step, the frontier optimisation
+/// familiar from static BFS is unsound — a node informed long ago can
+/// acquire a brand-new uninformed neighbor at any later step — so each round
+/// scans a whole side of the cut. Below half coverage (and always when
+/// β < 1, so the per-node draw order never changes) it walks the informed
+/// nodes and collects their uninformed neighbors; at β = 1 with `2·|I| > n`
+/// it walks the smaller uninformed side in ascending order and tests whether
+/// any neighbor is informed. Both scans yield the same `I_{t+1}`.
+///
+/// Message invariant: every round adds the degree sum of the informed nodes
+/// that forwarded, so at β = 1 [`messages_sent`](ProtocolMachine::messages_sent)
+/// is `Σ_t Σ_{u∈I_t} deg_{G_t}(u)` whichever side was scanned (the
+/// uninformed scan gets it as `2·m − Σ_{v∉I_t} deg(v)`).
 pub struct FloodMachine {
     beta: f64,
     informed: NodeSet,
@@ -84,17 +100,36 @@ impl ProtocolMachine for FloodMachine {
             messages,
             ..
         } = self;
+        let n = informed.universe();
+        debug_assert_eq!(g.num_nodes(), n, "snapshot node count changed");
         newly.clear();
-        for u in informed.iter() {
-            // β = 1 must not consume randomness (plain flooding is
-            // RNG-free); `gen_bool` is only reached when β < 1.
-            if beta < 1.0 && !rng.gen_bool(beta) {
-                continue;
-            }
-            for &v in g.neighbors(u) {
-                *messages += 1;
-                if !informed.contains(v) {
+        if beta >= 1.0 && 2 * informed.len() > n {
+            // Scan the smaller, uninformed side (see the type docs).
+            let mut uninformed_arcs = 0usize;
+            for v in 0..n as Node {
+                if informed.contains(v) {
+                    continue;
+                }
+                let nbrs = g.neighbors(v);
+                uninformed_arcs += nbrs.len();
+                if nbrs.iter().any(|&w| informed.contains(w)) {
                     newly.push(v);
+                }
+            }
+            *messages += (2 * g.num_edges() - uninformed_arcs) as u64;
+        } else {
+            for u in informed.iter() {
+                // β = 1 must not consume randomness (plain flooding is
+                // RNG-free); `gen_bool` is only reached when β < 1.
+                if beta < 1.0 && !rng.gen_bool(beta) {
+                    continue;
+                }
+                let nbrs = g.neighbors(u);
+                *messages += nbrs.len() as u64;
+                for &v in nbrs {
+                    if !informed.contains(v) {
+                        newly.push(v);
+                    }
                 }
             }
         }
@@ -200,13 +235,15 @@ pub(crate) mod legacy {
 mod tests {
     use super::*;
     use crate::evolving::{FrozenGraph, ScheduledGraph};
-    use crate::flooding::flood_static;
-    use meg_graph::generators;
+    use meg_graph::{bfs, generators};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn beta_one_matches_plain_flooding() {
+        // Independent oracle: on a static graph, β = 1 flooding is BFS. The
+        // trace is the prefix sums of the level sizes, and round t+1 sends
+        // one message per arc of every node within distance t.
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         for g in [
             generators::path(10),
@@ -214,12 +251,28 @@ mod tests {
             generators::grid2d(4, 5),
             generators::complete(8),
         ] {
-            let plain = flood_static(&g, 0);
+            let trace: Vec<usize> = bfs::level_sizes(&g, 0)
+                .iter()
+                .scan(0, |acc, &k| {
+                    *acc += k;
+                    Some(*acc)
+                })
+                .collect();
+            let dist = bfs::distances(&g, 0);
+            let messages: u64 = (0..trace.len() as u32 - 1)
+                .map(|t| {
+                    (0..g.num_nodes() as Node)
+                        .filter(|&u| dist[u as usize] <= t)
+                        .map(|u| g.degree(u) as u64)
+                        .sum::<u64>()
+                })
+                .sum();
             let mut meg = FrozenGraph::new(g);
             let prob = probabilistic_flood(&mut meg, 0, 1.0, 500, &mut rng);
             assert!(prob.completed);
-            assert_eq!(Some(prob.rounds), plain.flooding_time());
-            assert_eq!(prob.informed_per_round, plain.informed_per_round);
+            assert_eq!(prob.rounds as usize, trace.len() - 1);
+            assert_eq!(prob.informed_per_round, trace);
+            assert_eq!(prob.messages_sent, messages);
         }
     }
 
@@ -228,23 +281,51 @@ mod tests {
         // Differential check at the core level: the machine and the
         // pre-refactor reference produce the same trace from the same RNG
         // stream, including the β < 1 draw-order-sensitive path.
-        for beta in [1.0, 0.7, 0.3] {
-            for seed in 0..8u64 {
-                let a = SnapshotBuf::from_edges(5, [(0, 1), (1, 2), (3, 4)]);
-                let b = SnapshotBuf::from_edges(5, [(2, 3), (0, 4)]);
-                let mut meg_new = ScheduledGraph::new(vec![a.clone(), b.clone()]);
-                let mut meg_old = ScheduledGraph::new(vec![a, b]);
-                let mut rng_new = ChaCha8Rng::seed_from_u64(seed);
-                let mut rng_old = ChaCha8Rng::seed_from_u64(seed);
-                let new = probabilistic_flood(&mut meg_new, 0, beta, 40, &mut rng_new);
-                let old =
-                    legacy::probabilistic_flood_reference(&mut meg_old, 0, beta, 40, &mut rng_old);
-                assert_eq!(new, old, "beta={beta} seed={seed}");
-                assert_eq!(
-                    rng_new.gen::<u64>(),
-                    rng_old.gen::<u64>(),
-                    "RNG cursor drifted"
-                );
+        let small = vec![
+            SnapshotBuf::from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+            SnapshotBuf::from_edges(5, [(2, 3), (0, 4)]),
+        ];
+        // Ten nodes: the path 0..7 carries |I| past n/2 (into the
+        // uninformed-side scan at β = 1), then the only edge ever to reach
+        // {8, 9} appears late and touches the source, informed since round 0.
+        let path = SnapshotBuf::from_edges(
+            10,
+            [
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (5, 6),
+                (6, 7),
+                (8, 9),
+            ],
+        );
+        let mut large = vec![path; 6];
+        large.push(SnapshotBuf::with_nodes(10));
+        large.push(SnapshotBuf::from_edges(10, [(0, 8)]));
+        for schedule in [small, large] {
+            for beta in [1.0, 0.7, 0.3] {
+                for seed in 0..8u64 {
+                    let mut meg_new = ScheduledGraph::new(schedule.clone());
+                    let mut meg_old = ScheduledGraph::new(schedule.clone());
+                    let mut rng_new = ChaCha8Rng::seed_from_u64(seed);
+                    let mut rng_old = ChaCha8Rng::seed_from_u64(seed);
+                    let new = probabilistic_flood(&mut meg_new, 0, beta, 40, &mut rng_new);
+                    let old = legacy::probabilistic_flood_reference(
+                        &mut meg_old,
+                        0,
+                        beta,
+                        40,
+                        &mut rng_old,
+                    );
+                    assert_eq!(new, old, "beta={beta} seed={seed}");
+                    assert_eq!(
+                        rng_new.gen::<u64>(),
+                        rng_old.gen::<u64>(),
+                        "RNG cursor drifted"
+                    );
+                }
             }
         }
     }

@@ -193,7 +193,12 @@ where
     P: ProtocolMachine,
     R: Rng,
 {
-    let mut coverage_per_round = vec![machine.coverage()];
+    // Pre-size the per-round trace from the round budget, capped so a
+    // generous budget cannot force a huge up-front reservation: completed
+    // floods rarely exceed ~2n rounds, and a longer run simply grows it.
+    let n = machine.num_nodes();
+    let mut coverage_per_round = Vec::with_capacity((max_rounds as usize).min(2 * n + 64) + 1);
+    coverage_per_round.push(machine.coverage());
     let mut rounds = 0u64;
     let mut completed = machine.is_complete();
     let mut stalled = false;

@@ -252,7 +252,7 @@ fn dense_flood_ab(n: usize, stepping: Stepping) -> (Vec<(String, f64)>, f64) {
         for f in 0..DENSE_AB_FLOODS {
             let source = (f * n / DENSE_AB_FLOODS) as u32;
             let r = flood(&mut meg, source, 100_000);
-            sum += r.rounds as f64 + r.informed.len() as f64;
+            sum += r.rounds as f64 + r.informed_count() as f64;
         }
     }
     (
@@ -279,7 +279,7 @@ fn sparse_flood_ab(n: usize, stepping: Stepping) -> (Vec<(String, f64)>, f64) {
     let r = flood(&mut meg, 0, 100_000);
     (
         vec![("n".into(), n as f64), ("trials".into(), 1.0)],
-        r.rounds as f64 + r.informed.len() as f64,
+        r.rounds as f64 + r.informed_count() as f64,
     )
 }
 
@@ -314,7 +314,7 @@ fn run_once(name: &str, scale: f64) -> Option<(Vec<(String, f64)>, f64)> {
             for (i, source) in [0u32, 1, 2].into_iter().enumerate() {
                 let mut meg = geo_meg(n, 1.2, BENCH_SEED + i as u64);
                 let r = flood(&mut meg, source % n as u32, 100_000);
-                sum += r.rounds as f64 + r.informed.len() as f64;
+                sum += r.rounds as f64 + r.informed_count() as f64;
             }
             Some((vec![("n".into(), n as f64), ("trials".into(), 3.0)], sum))
         }
@@ -346,7 +346,7 @@ fn run_once(name: &str, scale: f64) -> Option<(Vec<(String, f64)>, f64)> {
             let r = flood(&mut meg, 0, 100_000);
             Some((
                 vec![("n".into(), n as f64)],
-                r.rounds as f64 + r.informed.len() as f64,
+                r.rounds as f64 + r.informed_count() as f64,
             ))
         }
         // Sparse edge-MEG in the paper's sparse connected regime.
@@ -358,7 +358,7 @@ fn run_once(name: &str, scale: f64) -> Option<(Vec<(String, f64)>, f64)> {
             for i in 0..3u64 {
                 let mut meg = SparseEdgeMeg::stationary(params, BENCH_SEED + i);
                 let r = flood(&mut meg, 0, 100_000);
-                sum += r.rounds as f64 + r.informed.len() as f64;
+                sum += r.rounds as f64 + r.informed_count() as f64;
             }
             Some((vec![("n".into(), n as f64), ("trials".into(), 3.0)], sum))
         }
@@ -372,7 +372,7 @@ fn run_once(name: &str, scale: f64) -> Option<(Vec<(String, f64)>, f64)> {
                 let mut meg =
                     DenseEdgeMeg::new(params, InitialDistribution::Stationary, BENCH_SEED + i);
                 let r = flood(&mut meg, 0, 100_000);
-                sum += r.rounds as f64 + r.informed.len() as f64;
+                sum += r.rounds as f64 + r.informed_count() as f64;
             }
             Some((vec![("n".into(), n as f64), ("trials".into(), 3.0)], sum))
         }

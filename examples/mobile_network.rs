@@ -22,7 +22,7 @@ fn average_flooding_time(n: usize, move_radius: f64, radius: f64, trials: usize,
     for t in 0..trials {
         let params = GeometricMegParams::new(n, move_radius, radius);
         let mut meg = GeometricMeg::from_params(params, seed + t as u64);
-        if let Some(time) = flood(&mut meg, 0, 100_000).flooding_time() {
+        if let Some(time) = flood(&mut meg, 0, 100_000).completion_time() {
             total += time as f64;
             completed += 1;
         }

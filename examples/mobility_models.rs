@@ -22,7 +22,7 @@ use meg::stats::table::fmt_f64;
 
 fn flooding_time_with<M: Mobility>(model: M, radius: f64, seed: u64) -> Option<u64> {
     let mut meg = GeometricMeg::new(model, radius, seed);
-    flood(&mut meg, 0, 100_000).flooding_time()
+    flood(&mut meg, 0, 100_000).completion_time()
 }
 
 #[path = "support/scale.rs"]

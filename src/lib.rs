@@ -32,7 +32,7 @@
 //!
 //! // Flood from node 0 and compare with the paper's Theorem 4.3 shape.
 //! let result = flood(&mut evolving, 0, 10_000);
-//! let time = result.flooding_time().expect("connected regime floods");
+//! let time = result.completion_time().expect("connected regime floods");
 //! let bounds = params.bounds();
 //! assert!((time as f64) <= 10.0 * bounds.upper_shape());
 //! assert!(time >= 2);
@@ -57,9 +57,7 @@ pub mod prelude {
     pub use meg_core::bounds::{EdgeBounds, GeometricBounds};
     pub use meg_core::evolving::{EvolvingGraph, FrozenGraph, InitialDistribution, ScheduledGraph};
     pub use meg_core::expansion::ExpanderSequence;
-    pub use meg_core::flooding::{
-        flood, flood_static, FloodingOutcome, FloodingResult, FloodingState,
-    };
+    pub use meg_core::flooding::{flood, flood_static};
     pub use meg_core::protocols::{parsimonious_flood, probabilistic_flood, push_pull_gossip};
     pub use meg_core::spec;
     pub use meg_edge::{DenseEdgeMeg, EdgeMegParams, SparseEdgeMeg};
@@ -82,6 +80,6 @@ mod tests {
         let params = EdgeMegParams::with_stationary(120, 0.1, 0.5);
         let mut meg = DenseEdgeMeg::stationary(params, 0);
         let r = flood(&mut meg, 3, 500);
-        assert_eq!(r.outcome, FloodingOutcome::Completed);
+        assert!(r.completed);
     }
 }

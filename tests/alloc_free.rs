@@ -20,12 +20,13 @@
 //! sparse engine is covered in both stepping modes: per-pair stepping keeps
 //! its sorted alive list, survivor and birth buffers as reused `Vec`s, and
 //! the transitions path keeps its flat alive array and delta scratch the
-//! same way.
+//! same way. The protocol layer is covered too: `FloodMachine::step`, the
+//! one flooding kernel, reuses its `newly` scratch in both scan branches.
 //!
 //! The test counts `alloc` / `realloc` / `alloc_zeroed` calls around the
 //! measured loop on the test's own single thread; nothing else runs
 //! concurrently in this integration-test binary (one `#[test]`), so a
-//! non-zero delta is attributable to `advance()`.
+//! non-zero delta is attributable to the measured call.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -264,6 +265,45 @@ fn advance_is_allocation_free_after_warmup_on_dense_and_geometric_paths() {
     assert_eq!(
         delta_allocs, 0,
         "apply_delta allocated {delta_allocs} times after warm-up"
+    );
+
+    // --- FloodMachine::step, both scan branches ---------------------------
+    // Flooding a 1024-cycle from node 0 informs two nodes per round, so the
+    // `newly` scratch reaches its capacity in the first rounds. Rounds
+    // 1..=255 keep |I| ≤ n/2 (informed-side scan); from round 256 on
+    // |I| > n/2 and the β = 1 kernel scans the uninformed side instead.
+    use meg::core::protocols::{FloodMachine, ProtocolMachine};
+    use rand::rngs::mock::StepRng;
+    let n = 1024usize;
+    let cycle = meg::graph::generators::cycle(n);
+    let mut flood = FloodMachine::new(n, 0, 1.0);
+    let mut no_draws = StepRng::new(0, 0);
+    for _ in 0..10 {
+        flood.step(&cycle, &mut no_draws);
+    }
+    let (informed_side_allocs, ()) = allocations_during(|| {
+        for _ in 0..200 {
+            flood.step(&cycle, &mut no_draws);
+        }
+    });
+    assert!(2 * flood.coverage() <= n, "left the informed-side branch");
+    assert_eq!(
+        informed_side_allocs, 0,
+        "FloodMachine::step (informed-side scan) allocated {informed_side_allocs} times"
+    );
+    while 2 * flood.coverage() <= n {
+        flood.step(&cycle, &mut no_draws);
+    }
+    let (uninformed_side_allocs, ()) = allocations_during(|| {
+        for _ in 0..200 {
+            flood.step(&cycle, &mut no_draws);
+        }
+    });
+    // Entered the uninformed-side branch at round 256, stayed for 200 more.
+    assert_eq!(flood.coverage(), 2 * (256 + 200) + 1);
+    assert_eq!(
+        uninformed_side_allocs, 0,
+        "FloodMachine::step (uninformed-side scan) allocated {uninformed_side_allocs} times"
     );
 
     // --- recorder installed: observation must not allocate either ---------

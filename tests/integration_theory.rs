@@ -27,7 +27,7 @@ fn general_theorem_pipeline_bounds_measured_flooding_for_edge_meg() {
     // Independent flooding runs must respect the evaluated bound.
     for seed in 0..3u64 {
         let mut meg = SparseEdgeMeg::stationary(params, seed);
-        let t = flood(&mut meg, 0, 100_000).flooding_time().unwrap() as f64;
+        let t = flood(&mut meg, 0, 100_000).completion_time().unwrap() as f64;
         assert!(
             bound >= t,
             "seed {seed}: Theorem 2.5 bound {bound} must dominate measured flooding {t}"
@@ -36,7 +36,7 @@ fn general_theorem_pipeline_bounds_measured_flooding_for_edge_meg() {
     // And the bound should be useful (within a modest factor) for this
     // expander-like family.
     let mut meg = SparseEdgeMeg::stationary(params, 1_000);
-    let t = flood(&mut meg, 0, 100_000).flooding_time().unwrap() as f64;
+    let t = flood(&mut meg, 0, 100_000).completion_time().unwrap() as f64;
     assert!(
         bound <= 30.0 * t.max(1.0),
         "bound {bound} uselessly loose vs {t}"
@@ -61,7 +61,7 @@ fn general_theorem_pipeline_bounds_measured_flooding_for_geometric_meg() {
 
     for seed in 0..2u64 {
         let mut meg = GeometricMeg::from_params(params, seed);
-        let t = flood(&mut meg, 0, 100_000).flooding_time().unwrap() as f64;
+        let t = flood(&mut meg, 0, 100_000).completion_time().unwrap() as f64;
         assert!(
             bound >= t,
             "seed {seed}: Theorem 2.5 bound {bound} must dominate measured flooding {t}"
@@ -151,8 +151,8 @@ fn static_snapshot_flooding_matches_dynamic_flooding_when_mobility_is_frozen() {
     };
     let mut meg = GeometricMeg::from_params(params, 21);
     let first_snapshot = meg.current_snapshot().clone();
-    let static_time = flood_static(&first_snapshot, 0).flooding_time();
-    let dynamic_time = flood(&mut meg, 0, 100_000).flooding_time();
+    let static_time = flood_static(&first_snapshot, 0).completion_time();
+    let dynamic_time = flood(&mut meg, 0, 100_000).completion_time();
     assert_eq!(static_time, dynamic_time);
 }
 

@@ -74,11 +74,11 @@ proptest! {
         let reachable = distances.iter().filter(|&&d| d != bfs::UNREACHABLE).count();
         let ecc = distances.iter().filter(|&&d| d != bfs::UNREACHABLE).max().copied().unwrap_or(0);
         // informed set == reachable set
-        prop_assert_eq!(result.informed.len(), reachable);
+        prop_assert_eq!(result.informed_count(), reachable);
         if reachable == n {
-            prop_assert_eq!(result.flooding_time(), Some(ecc as u64));
+            prop_assert_eq!(result.completion_time(), Some(ecc as u64));
         } else {
-            prop_assert_eq!(result.flooding_time(), None);
+            prop_assert_eq!(result.completion_time(), None);
         }
         // monotone growth of the informed count
         for w in result.informed_per_round.windows(2) {
@@ -98,13 +98,12 @@ proptest! {
         let budget = 200u64;
         let result = flood(&mut meg, 0, budget);
         prop_assert!(result.rounds <= budget);
-        prop_assert!(!result.informed.is_empty());
-        prop_assert!(result.informed.contains(0));
+        prop_assert_eq!(result.informed_per_round[0], 1);
         for w in result.informed_per_round.windows(2) {
             prop_assert!(w[0] <= w[1]);
         }
-        if result.outcome == FloodingOutcome::Completed {
-            prop_assert_eq!(result.informed.len(), n);
+        if result.completed {
+            prop_assert_eq!(result.informed_count(), n);
             prop_assert_eq!(result.rounds as usize + 1, result.informed_per_round.len());
         }
     }
@@ -135,7 +134,7 @@ proptest! {
             }
             let seq = ExpanderSequence::new(n, hs, ks).unwrap();
             let bound = seq.flooding_bound();
-            let measured = flood_static(&g, 0).flooding_time().unwrap() as f64;
+            let measured = flood_static(&g, 0).completion_time().unwrap() as f64;
             prop_assert!(bound >= measured, "bound {} vs measured {}", bound, measured);
         }
     }
